@@ -15,7 +15,7 @@ import sys
 from . import __version__
 from .axioms import eqfscl_minus
 from .cp import basic_form, decide_eq_cp, scl_to_cp
-from .decompose import cd, dd, enumerate_candidates, tsd
+from .decompose import enumerate_candidates, select_decomposition
 from .errors import SclError
 from .generate import random_scl_term
 from .inverse import invert
@@ -44,6 +44,17 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def _node_cap(text: str) -> int:
+    """The ``--cap`` argument type: a non-negative node count."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return cap
 
 
 def _read_tree(text: str) -> Tree:
@@ -121,13 +132,13 @@ def _cmd_eq(args) -> int:
 
 
 _CANDIDATE_KIND = {"cd": "ccd", "dd": "cdd", "tsd": "ctsd"}
-_SELECTOR = {"cd": cd, "dd": dd, "tsd": tsd}
 
 
 def _cmd_decompose(args) -> int:
     tree = _read_tree(args.tree)
-    candidates = enumerate_candidates(tree, _CANDIDATE_KIND[args.kind])
-    selected = _SELECTOR[args.kind](tree)
+    kind = _CANDIDATE_KIND[args.kind]
+    candidates = enumerate_candidates(tree, kind)
+    selected = select_decomposition(tree, kind, candidates)
     if args.json:
         encode = lambda d: {
             "context": tree_to_json(d.context),
@@ -289,14 +300,17 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         return p
 
+    def add_cap(p):
+        p.add_argument("--cap", type=_node_cap, default=DEFAULT_NODE_CAP, help="node cap")
+
     p = add("se", _cmd_se, "evaluation tree of an expression")
     p.add_argument("expr")
     p.add_argument("--dot", action="store_true", help="emit a Graphviz description")
-    p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="node cap")
+    add_cap(p)
 
     p = add("nf", _cmd_nf, "normal form of an expression")
     p.add_argument("expr")
-    p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
+    add_cap(p)
 
     p = add("classify", _cmd_classify, "normal-form grammar category")
     p.add_argument("expr")
@@ -305,7 +319,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("lhs")
     p.add_argument("rhs")
     p.add_argument("--engine", choices=("tree", "nf", "cp"), default="tree")
-    p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
+    add_cap(p)
 
     p = add("decompose", _cmd_decompose, "candidates and selected decomposition of a tree")
     p.add_argument("tree", help="tree in text or JSON form")
@@ -320,7 +334,7 @@ def _build_parser() -> _ArgumentParser:
 
     p = add("basic", _cmd_basic, "basic conditional form of an expression")
     p.add_argument("expr")
-    p.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP)
+    add_cap(p)
 
     p = sub.add_parser("models", help="finite-model reports")
     models_sub = p.add_subparsers(dest="models_command", required=True)

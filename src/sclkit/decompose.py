@@ -80,8 +80,15 @@ def enumerate_candidates(x: Tree, kind: str) -> list[Decomposition]:
     return out
 
 
-def _select(x: Tree, kind: str) -> Decomposition | None:
-    candidates = enumerate_candidates(x, kind)
+def select_decomposition(
+    x: Tree, kind: str, candidates: list[Decomposition]
+) -> Decomposition | None:
+    """Pick from ``candidates``, the list ``enumerate_candidates(x, kind)``
+    returned: its first entry (the shallowest core), or None when it is empty.
+
+    Raises ``AmbiguousDecomposition`` when two candidates share the minimum
+    core depth.
+    """
     if not candidates:
         return None
     best = candidates[0]
@@ -94,17 +101,17 @@ def _select(x: Tree, kind: str) -> Decomposition | None:
 
 def cd(x: Tree) -> Decomposition | None:
     """The conjunction decomposition: the minimum-core-depth ccd, if any."""
-    return _select(x, "ccd")
+    return select_decomposition(x, "ccd", enumerate_candidates(x, "ccd"))
 
 
 def dd(x: Tree) -> Decomposition | None:
     """The disjunction decomposition: the minimum-core-depth cdd, if any."""
-    return _select(x, "cdd")
+    return select_decomposition(x, "cdd", enumerate_candidates(x, "cdd"))
 
 
 def tsd(x: Tree) -> Decomposition | None:
     """The T-*-decomposition: the minimum-core-depth ctsd, if any."""
-    return _select(x, "ctsd")
+    return select_decomposition(x, "ctsd", enumerate_candidates(x, "ctsd"))
 
 
 def is_nondecomposable(z: Tree) -> bool:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import ModeViolation, NonClosedTerm, UnboundVariable
+from .errors import ModeViolation, UnboundVariable
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RESERVED = frozenset({"T", "F"})
@@ -218,13 +218,6 @@ def substitute(t: Term, subst: Mapping[str, Term]) -> Term:
             return t if a2 is a and g2 is g and b2 is b else Cond(a2, g2, b2)
         case _:  # pragma: no cover
             raise TypeError(f"not a term: {t!r}")
-
-
-def require_closed(t: Term) -> Term:
-    if not is_closed(t):
-        missing = ", ".join(sorted(variables(t)))
-        raise NonClosedTerm(f"term contains variables: {missing}")
-    return t
 
 
 def expand_full(t: Term) -> Term:

@@ -6,6 +6,11 @@ decomposition contexts may additionally carry hole leaves (``^``).  Nodes
 cache size, depth, leaf flags, and a structural hash, so those queries and
 structural comparisons stay cheap on shared subtrees; ``size`` counts the
 logical tree, not the shared object graph.
+
+``eval_tree`` builds by continuation passing rather than by copying trees
+through leaf replacement, so its object graph is linear in the term (one
+node per atom occurrence) while the logical tree may be exponential.  The
+node cap bounds the logical tree size of every subterm's tree.
 """
 
 from __future__ import annotations
@@ -164,30 +169,81 @@ def eval_tree(term: Term, cap: int | None = DEFAULT_NODE_CAP) -> Tree:
     leaves; ``p && q`` continues into ``q`` at the T-leaves of ``p``;
     ``p || q`` continues at the F-leaves; ``x <| y |> z`` continues from
     ``y`` into ``x`` at T-leaves and ``z`` at F-leaves.
+
+    The tree is built by continuation passing: each subterm is evaluated
+    once, with the trees to continue into at its T- and F-leaves, so the
+    object graph has one ``Node`` per atom occurrence and is linear in the
+    term even when the logical tree is exponential.  ``cap`` bounds the
+    logical size of every subterm's tree: ``TreeTooLarge`` is raised when
+    one of them is a node larger than ``cap``, which is checked by
+    arithmetic before anything is built.
+    """
+    _shape(term, cap)
+    return _build(term, Leaf.TRUE, Leaf.FALSE)
+
+
+_TRUE_SHAPE, _FALSE_SHAPE = (1, 1, 0), (1, 0, 1)
+
+
+def _shape(term: Term, cap: int | None) -> tuple[int, int, int]:
+    """``(size, T-leaves, F-leaves)`` of the tree of ``term``, by arithmetic.
+
+    Subterms are visited in evaluation order (left before right, the guard
+    before the branches), so the first error met is the one raised.
     """
     match term:
         case Const(v):
-            return Leaf.TRUE if v else Leaf.FALSE
-        case Atom(name):
-            return _node(name, Leaf.TRUE, Leaf.FALSE, cap)
+            return _TRUE_SHAPE if v else _FALSE_SHAPE
+        case Atom(_):
+            shape = (3, 1, 1)
         case Var(name):
             raise NonClosedTerm(f"cannot evaluate open term: ${name}")
         case Not(p):
-            return replace(eval_tree(p, cap), Leaf.FALSE, Leaf.TRUE, cap)
+            size, t, f = _shape(p, cap)
+            return size, f, t
         case And(l, r):
-            return replace(eval_tree(l, cap), for_true=eval_tree(r, cap), cap=cap)
+            shape = _continued(_shape(l, cap), _shape(r, cap), _FALSE_SHAPE)
         case Or(l, r):
-            return replace(eval_tree(l, cap), for_false=eval_tree(r, cap), cap=cap)
+            shape = _continued(_shape(l, cap), _TRUE_SHAPE, _shape(r, cap))
         case Cond(a, g, b):
-            return replace(
-                eval_tree(g, cap), eval_tree(a, cap), eval_tree(b, cap), cap
-            )
+            shape = _continued(_shape(g, cap), _shape(a, cap), _shape(b, cap))
         case FullAnd(_, _) | FullOr(_, _):
             raise ModeViolation(
                 "full-sequential connectives must be expanded before evaluation"
             )
         case _:  # pragma: no cover
             raise TypeError(f"not a term: {term!r}")
+    if cap is not None and shape[0] > max(cap, 1):  # a leaf is never too large
+        raise TreeTooLarge(f"tree exceeds the node cap of {cap}")
+    return shape
+
+
+def _continued(x, on_true, on_false) -> tuple[int, int, int]:
+    """Shape of a tree of shape ``x`` once its T- and F-leaves are replaced
+    by trees of shapes ``on_true`` and ``on_false``."""
+    (size, t, f), (size_t, t_t, f_t), (size_f, t_f, f_f) = x, on_true, on_false
+    return (
+        size + t * (size_t - 1) + f * (size_f - 1),
+        t * t_t + f * t_f,
+        t * f_t + f * f_f,
+    )
+
+
+def _build(term: Term, k_true: Tree, k_false: Tree) -> Tree:
+    """The tree of ``term`` with ``k_true``/``k_false`` at its T/F-leaves."""
+    match term:
+        case Const(v):
+            return k_true if v else k_false
+        case Atom(name):
+            return Node(name, k_true, k_false)
+        case Not(p):
+            return _build(p, k_false, k_true)
+        case And(l, r):
+            return _build(l, _build(r, k_true, k_false), k_false)
+        case Or(l, r):
+            return _build(l, k_true, _build(r, k_true, k_false))
+        case Cond(a, g, b):
+            return _build(g, _build(a, k_true, k_false), _build(b, k_true, k_false))
 
 
 def format_tree(x: Tree) -> str:

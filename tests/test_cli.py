@@ -141,6 +141,11 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "T", "--kind", "zz"])
     assert exc.value.code == 64
+    for argv in (["se", "a"], ["nf", "a"], ["eq", "a", "a"], ["basic", "a"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--cap", "-1"])
+        assert exc.value.code == 64
+    assert main(["se", "T", "--cap", "0"]) == 0
 
 
 def test_semantic_error_exit_code(capsys):

@@ -1,11 +1,16 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from sclkit import (
+    Atom,
     Cond,
+    Const,
+    FullAnd,
+    FullOr,
     Leaf,
     ModeViolation,
     Node,
@@ -167,3 +172,77 @@ def test_tree_json_roundtrip():
     }
     with pytest.raises(ValueError):
         tree_from_json({"leaf": "hole"}, allow_hole=False)
+
+
+def reference_eval_tree(term, cap):
+    """se(P) built literally by leaf replacement, as the paper defines it.
+
+    This is the evaluator ``eval_tree`` replaced; it copies the left tree at
+    every connective, so it is kept only as a test oracle.
+    """
+    ev = lambda t: reference_eval_tree(t, cap)
+    match term:
+        case Const(v):
+            return T if v else F
+        case Atom(name):
+            if cap is not None and 3 > cap:
+                raise TreeTooLarge(f"tree exceeds the node cap of {cap}")
+            return Node(name, T, F)
+        case Var(name):
+            raise NonClosedTerm(name)
+        case Not(p):
+            return replace(ev(p), F, T, cap)
+        case And(l, r):
+            return replace(ev(l), for_true=ev(r), cap=cap)
+        case Or(l, r):
+            return replace(ev(l), for_false=ev(r), cap=cap)
+        case Cond(a, g, b):
+            return replace(ev(g), ev(a), ev(b), cap)
+        case FullAnd(_, _) | FullOr(_, _):
+            raise ModeViolation("full-sequential connective")
+
+
+def _outcome(evaluate, term, cap):
+    try:
+        return evaluate(term, cap)
+    except (NonClosedTerm, ModeViolation, TreeTooLarge) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("mode", ["scl", "enriched", "open", "cp"])
+def test_eval_tree_matches_leaf_replacement(mode):
+    rng = random.Random(f"eval-{mode}")
+    for _ in range(250):
+        term = random_term(rng, max_depth=5, mode=mode, variables=("x", "y"))
+        for cap in (None, -1, 0, 1, 2, 3, 10, 100):
+            expected = _outcome(reference_eval_tree, term, cap)
+            assert _outcome(eval_tree, term, cap) == expected, (term, cap)
+
+
+def test_eval_tree_cap_applies_to_every_subterm():
+    big = parse("(a || b) && (a || b) && (a || b)")  # 29 nodes
+    small = parse("a || b")  # 5 nodes; small && small has 13
+    # the right operand is evaluated, and capped, even though F discards it
+    with pytest.raises(TreeTooLarge):
+        eval_tree(And(parse("F"), big), cap=10)
+    # small && small is never a subterm's tree here, so nothing exceeds 10
+    assert eval_tree(And(And(parse("F"), small), small), cap=10) is F
+
+
+def _node_objects(x):
+    seen = set()
+    stack = [x]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Node) and id(s) not in seen:
+            seen.add(id(s))
+            stack += [s.left, s.right]
+    return len(seen)
+
+
+def test_eval_tree_object_graph_is_linear():
+    blowup = eval_tree(parse(" && ".join(["(a || b)"] * 13)))
+    assert blowup.size == 32_765
+    assert _node_objects(blowup) == 26
+    chain = reduce(And, [Atom(f"a{i}") for i in range(900)])
+    assert eval_tree(chain).size == 1_801
