@@ -1,4 +1,4 @@
-"""Brute-force enumeration and selection of tree decompositions.
+"""Tree decompositions, decided by leaf-count arithmetic.
 
 A decomposition splits a tree into a context with hole leaves and a core
 that grafts back to reconstruct the input.  Candidate kinds differ in which
@@ -8,20 +8,31 @@ additionally require a core that cannot itself be split by a leaf-free
 context).  The cd/dd/tsd selectors pick the candidate with the shallowest
 core.
 
-Enumeration considers, for each distinct subtree carrying both leaf kinds,
-the context obtained by holing all of its occurrences; replacing fewer
-occurrences can never meet the leaf conditions, because a surviving core
-occurrence would put both leaf kinds back into the context.
+A candidate core is a distinct subtree carrying both leaf kinds, and its
+context holes all of its occurrences; holing fewer can never meet the leaf
+conditions, because a surviving core occurrence would put both leaf kinds
+back into the context.
+
+No context is built to be tested.  One census walks the object graph of
+the tree without recursion or tree comparison, so a shared subtree costs
+no more than one occurrence, and gives every subtree a structural class
+with its logical occurrence count and its T- and F-leaf counts.  A tree is
+never a proper subtree of itself, so the occurrences of a core are
+disjoint and holing them removes exactly ``occ * T(core)`` T-leaves and
+``occ * F(core)`` F-leaves.  This is the coverage rule: the context keeps
+a T-leaf iff ``occ * T(core) < T(tree)``, and likewise for F.  Only the
+contexts that are returned get built, each by one pass over the classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .errors import AmbiguousDecomposition, NotStarTerm
+from .errors import NotStarTerm
 from .normalize import SnfClass, classify, is_star_class
 from .terms import Term
-from .trees import Leaf, Node, Tree, eval_tree, subtrees
+from .trees import Leaf, Node, Tree, eval_tree
 
 KINDS = ("ccd", "cdd", "ctsd")
 
@@ -45,39 +56,125 @@ def replace_subtree(x: Tree, target: Tree, replacement: Tree) -> Tree:
     return Node(x.atom, left, right)
 
 
-def _distinct_cores(x: Tree) -> list[Tree]:
-    """Distinct subtrees containing both leaf kinds, by first preorder visit."""
-    seen = {}
-    for index, s in enumerate(subtrees(x)):
-        if s.has_true and s.has_false and s not in seen:
-            seen[s] = index
-    return sorted(seen, key=lambda s: (s.depth, seen[s]))
+class _Census:
+    """The structural classes of the subtrees of one tree.
+
+    Classes are numbered children first, after the three leaves, so every
+    class inside class ``k`` has a smaller number; ``root`` is the class of
+    the whole tree, the last one unless the tree is a leaf.  Class ``k`` has
+    the representative tree ``tree[k]``, child classes ``left[k]`` and
+    ``right[k]`` (-1 for a leaf), T- and F-leaf counts ``t[k]`` and
+    ``f[k]``, and logical occurrence count ``occ[k]``.
+    """
+
+    __slots__ = ("tree", "left", "right", "t", "f", "occ", "root")
+
+    def __init__(self, x: Tree):
+        leaves = (Leaf.TRUE, Leaf.FALSE, Leaf.HOLE)
+        tree, left, right = list(leaves), [-1, -1, -1], [-1, -1, -1]
+        t, f = [1, 0, 0], [0, 1, 0]
+        of = {id(leaf): k for k, leaf in enumerate(leaves)}  # physical -> class
+        table = {}  # (atom, left class, right class) -> class
+        get = of.get
+        stack = [x] if isinstance(x, Node) else []
+        while stack:
+            node = stack[-1]
+            l, r = get(id(node.left)), get(id(node.right))
+            if l is None or r is None:
+                if r is None:
+                    stack.append(node.right)
+                if l is None:
+                    stack.append(node.left)
+                continue
+            stack.pop()
+            key = (node.atom, l, r)
+            k = table.get(key)
+            if k is None:
+                k = table[key] = len(tree)
+                tree.append(node)
+                left.append(l)
+                right.append(r)
+                t.append(t[l] + t[r])
+                f.append(f[l] + f[r])
+            of[id(node)] = k
+        root = of[id(x)]
+
+        # parents before children: push occurrence counts down
+        occ = [0] * len(tree)
+        occ[root] = 1
+        for k in range(root, 2, -1):
+            occ[left[k]] += occ[k]
+            occ[right[k]] += occ[k]
+        self.tree, self.left, self.right, self.root = tree, left, right, root
+        self.t, self.f, self.occ = t, f, occ
+
+    def candidates(self, kind: str) -> Iterator[int]:
+        """The cores of the candidates of the given kind, shallowest first.
+
+        Holing class ``k`` keeps a T-leaf iff ``occ[k] * t[k]`` falls short
+        of the tree's T-leaves, and likewise for F.  Candidate cores of one
+        kind are nested (see ``select_decomposition``), and an inner class
+        has a smaller number, so class order is depth order.
+        """
+        t, f, occ, root = self.t, self.f, self.occ, self.root
+        for k in range(3, len(t)):
+            if not (t[k] and f[k]):
+                continue
+            keeps_true = occ[k] * t[k] < t[root]
+            keeps_false = occ[k] * f[k] < f[root]
+            if kind == "ccd":
+                ok = keeps_false and not keeps_true
+            elif kind == "cdd":
+                ok = keeps_true and not keeps_false
+            else:
+                ok = not keeps_true and not keeps_false and self.nondecomposable(k)
+            if ok:
+                yield k
+
+    def nondecomposable(self, z: int) -> bool:
+        """Whether no class inside class ``z`` covers all of its leaves."""
+        left, right, t, f = self.left, self.right, self.t, self.f
+        occ = [0] * (z + 1)
+        occ[z] = 1
+        for k in range(z, -1, -1):
+            m = occ[k]
+            if m and left[k] >= 0:
+                occ[left[k]] += m
+                occ[right[k]] += m
+        tz, fz = t[z], f[z]
+        return not any(
+            m and m * t[p] == tz and m * f[p] == fz for p, m in enumerate(occ[:z])
+        )
+
+    def decomposition(self, c: int) -> Decomposition:
+        """The context that holes every occurrence of class ``c``, and ``c``."""
+        tree, left, right = self.tree, self.left, self.right
+        built = tree[:]
+        built[c] = Leaf.HOLE
+        for k in range(c + 1, len(tree)):
+            l, r = left[k], right[k]
+            if l >= 0 and (built[l] is not tree[l] or built[r] is not tree[r]):
+                built[k] = Node(tree[k].atom, built[l], built[r])
+        return Decomposition(built[self.root], tree[c])
 
 
 def enumerate_candidates(x: Tree, kind: str) -> list[Decomposition]:
     """All decompositions of ``x`` of the given candidate kind.
 
-    Candidates are ordered by core depth, then by the first preorder
-    occurrence of the core.
+    Candidates are ordered by core depth; no two of them have the same
+    core depth (see ``select_decomposition``).
     """
     if kind not in KINDS:
         raise ValueError(f"unknown decomposition kind: {kind!r}")
-    out = []
-    for core in _distinct_cores(x):
-        context = replace_subtree(x, core, Leaf.HOLE)
-        if kind == "ccd":
-            ok = context.has_false and not context.has_true
-        elif kind == "cdd":
-            ok = context.has_true and not context.has_false
-        else:
-            ok = (
-                not context.has_true
-                and not context.has_false
-                and is_nondecomposable(core)
-            )
-        if ok:
-            out.append(Decomposition(context, core))
-    return out
+    census = _Census(x)
+    return [census.decomposition(k) for k in census.candidates(kind)]
+
+
+def _select(census: _Census, kind: str) -> Decomposition | None:
+    """The first candidate of the given kind in a census; only its context
+    is built."""
+    core = next(census.candidates(kind), None)
+    return None if core is None else census.decomposition(core)
 
 
 def select_decomposition(
@@ -86,50 +183,40 @@ def select_decomposition(
     """Pick from ``candidates``, the list ``enumerate_candidates(x, kind)``
     returned: its first entry (the shallowest core), or None when it is empty.
 
-    Raises ``AmbiguousDecomposition`` when two candidates share the minimum
-    core depth.
+    The shallowest core is unique, so ``AmbiguousDecomposition`` is never
+    raised.  A candidate context keeps none of the T-leaves of ``x`` (none
+    of the F-leaves for ``cdd``), so for one fixed such leaf of ``x``, every
+    candidate core has an occurrence containing it.  Two occurrences
+    containing the same leaf are nested, and a proper subtree is strictly
+    shallower, so distinct candidate cores differ in depth.
     """
-    if not candidates:
-        return None
-    best = candidates[0]
-    if len(candidates) > 1 and candidates[1].core.depth == best.core.depth:
-        raise AmbiguousDecomposition(
-            f"two distinct minimum-depth {kind} candidates for {x}"
-        )
-    return best
+    return candidates[0] if candidates else None
 
 
 def cd(x: Tree) -> Decomposition | None:
     """The conjunction decomposition: the minimum-core-depth ccd, if any."""
-    return select_decomposition(x, "ccd", enumerate_candidates(x, "ccd"))
+    return _select(_Census(x), "ccd")
 
 
 def dd(x: Tree) -> Decomposition | None:
     """The disjunction decomposition: the minimum-core-depth cdd, if any."""
-    return select_decomposition(x, "cdd", enumerate_candidates(x, "cdd"))
+    return _select(_Census(x), "cdd")
 
 
 def tsd(x: Tree) -> Decomposition | None:
     """The T-*-decomposition: the minimum-core-depth ctsd, if any."""
-    return select_decomposition(x, "ctsd", enumerate_candidates(x, "ctsd"))
+    return _select(_Census(x), "ctsd")
 
 
 def is_nondecomposable(z: Tree) -> bool:
     """True iff no leaf-free context with holes splits ``z``.
 
-    Checked by enumeration: a proper subtree whose occurrences cover every
+    A proper subtree whose disjoint occurrences cover every truth-value
     leaf of ``z`` yields such a context; holing anything less leaves a
-    truth-value leaf behind.
+    truth-value leaf behind.  Decided by the coverage rule on a census.
     """
-    seen = set()
-    for part in subtrees(z):
-        if part == z or part in seen:
-            continue
-        seen.add(part)
-        context = replace_subtree(z, part, Leaf.HOLE)
-        if not context.has_true and not context.has_false:
-            return False
-    return True
+    census = _Census(z)
+    return census.nondecomposable(census.root)
 
 
 def witness(p: Term) -> Tree:

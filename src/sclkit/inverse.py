@@ -10,8 +10,8 @@ input lies outside the corresponding image.
 
 from __future__ import annotations
 
-from .errors import AmbiguousDecomposition, NotInImage
-from .decompose import cd, dd, tsd
+from .errors import NotInImage
+from .decompose import _Census, _select, cd, dd, tsd  # noqa: F401  (cd, dd stay importable from here)
 from .terms import And, Atom, Not, Or, Term, FALSE, TRUE
 from .trees import Leaf, Tree, graft
 
@@ -47,19 +47,15 @@ def invert_lterm(x: Tree) -> Term:
 
 def invert_star(x: Tree) -> Term:
     """Rebuild a *-term: try the conjunction split, then the disjunction
-    split, then fall back to a single literal unit."""
-    try:
-        split = cd(x)
-    except AmbiguousDecomposition:
-        raise NotInImage("ambiguous conjunction decomposition", x, "invert_star")
+    split, then fall back to a single literal unit.  Both splits are read
+    off one census of ``x``."""
+    census = _Census(x)
+    split = _select(census, "ccd")
     if split is not None:
         return And(
             invert_star(graft(split.context, Leaf.TRUE)), invert_star(split.core)
         )
-    try:
-        split = dd(x)
-    except AmbiguousDecomposition:
-        raise NotInImage("ambiguous disjunction decomposition", x, "invert_star")
+    split = _select(census, "cdd")
     if split is not None:
         return Or(
             invert_star(graft(split.context, Leaf.FALSE)), invert_star(split.core)
@@ -75,10 +71,7 @@ def invert(x: Tree) -> Term:
         return invert_tterm(x)
     if not x.has_true:
         return invert_fterm(x)
-    try:
-        split = tsd(x)
-    except AmbiguousDecomposition:
-        raise NotInImage("ambiguous T-*-decomposition", x, "invert")
+    split = tsd(x)
     if split is None:
         raise NotInImage("no T-*-decomposition", x, "invert")
     return And(

@@ -21,6 +21,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
 from .terms import And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
+from .terms import _IDENT_RE, _RESERVED
 
 DEFAULT_NODE_CAP = 1_000_000
 
@@ -246,6 +247,19 @@ def _build(term: Term, k_true: Tree, k_false: Tree) -> Tree:
             return _build(g, _build(a, k_true, k_false), _build(b, k_true, k_false))
 
 
+def _is_atom_name(atom, known: set[str]) -> bool:
+    """Whether ``atom`` follows the name rule of term atoms.  Names in
+    ``known`` passed before and are not checked again; a passing name is
+    added to it."""
+    if not isinstance(atom, str):
+        return False
+    if atom not in known:
+        if not _IDENT_RE.match(atom) or atom in _RESERVED:
+            return False
+        known.add(atom)
+    return True
+
+
 def format_tree(x: Tree) -> str:
     """Render ``x`` in the canonical text form ``(left <atom> right)``."""
     if isinstance(x, Leaf):
@@ -254,8 +268,12 @@ def format_tree(x: Tree) -> str:
 
 
 def parse_tree(text: str) -> Tree:
-    """Parse the canonical text form back into a tree."""
-    tree, pos = _parse_tree(text, _skip_ws(text, 0))
+    """Parse the canonical text form back into a tree.
+
+    Atom names follow the rule of term atoms; each distinct name is checked
+    once.  Raises ``ParseError`` on any malformed input.
+    """
+    tree, pos = _parse_tree(text, _skip_ws(text, 0), set())
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ParseError(f"unexpected trailing {text[pos]!r}", pos)
@@ -268,7 +286,7 @@ def _skip_ws(text: str, pos: int) -> int:
     return pos
 
 
-def _parse_tree(text: str, pos: int) -> tuple[Tree, int]:
+def _parse_tree(text: str, pos: int, names: set[str]) -> tuple[Tree, int]:
     if pos >= len(text):
         raise ParseError("unexpected end of input", pos)
     c = text[pos]
@@ -280,7 +298,7 @@ def _parse_tree(text: str, pos: int) -> tuple[Tree, int]:
         return Leaf.HOLE, pos + 1
     if c != "(":
         raise ParseError(f"expected 'T', 'F', '^', or '(', found {c!r}", pos)
-    left, pos = _parse_tree(text, _skip_ws(text, pos + 1))
+    left, pos = _parse_tree(text, _skip_ws(text, pos + 1), names)
     pos = _skip_ws(text, pos)
     if pos >= len(text) or text[pos] != "<":
         raise ParseError("expected '<atom>'", pos)
@@ -288,9 +306,9 @@ def _parse_tree(text: str, pos: int) -> tuple[Tree, int]:
     if end < 0:
         raise ParseError("unterminated '<atom>'", pos)
     atom = text[pos + 1 : end]
-    if not atom.isidentifier() or atom in ("T", "F"):
+    if atom not in names and not _is_atom_name(atom, names):
         raise ParseError(f"invalid atom name {atom!r}", pos + 1)
-    right, pos = _parse_tree(text, _skip_ws(text, end + 1))
+    right, pos = _parse_tree(text, _skip_ws(text, end + 1), names)
     pos = _skip_ws(text, pos)
     if pos >= len(text) or text[pos] != ")":
         raise ParseError("expected ')'", pos)
@@ -309,9 +327,17 @@ def tree_to_json(x: Tree):
 
 
 def tree_from_json(data, allow_hole: bool = True) -> Tree:
-    """Decode the JSON object form; holes are rejected unless allowed."""
+    """Decode the JSON object form; holes are rejected unless allowed.
+
+    Node names follow the rule of term atoms; each distinct name is checked
+    once.  Raises ``ParseError`` on any malformed input.
+    """
+    return _tree_from_json(data, allow_hole, set())
+
+
+def _tree_from_json(data, allow_hole: bool, names: set[str]) -> Tree:
     if not isinstance(data, dict):
-        raise ValueError(f"not a tree object: {data!r}")
+        raise ParseError(f"not a tree object: {data!r}")
     if "leaf" in data:
         leaf = data["leaf"]
         if leaf == "T":
@@ -320,13 +346,18 @@ def tree_from_json(data, allow_hole: bool = True) -> Tree:
             return Leaf.FALSE
         if leaf == "hole":
             if not allow_hole:
-                raise ValueError("hole leaf not allowed here")
+                raise ParseError("hole leaf not allowed here")
             return Leaf.HOLE
-        raise ValueError(f"unknown leaf {leaf!r}")
+        raise ParseError(f"unknown leaf {leaf!r}")
     if "node" in data:
+        atom = data["node"]
+        if not _is_atom_name(atom, names):
+            raise ParseError(f"invalid atom name {atom!r}")
+        if "l" not in data or "r" not in data:
+            raise ParseError(f"node {atom!r} lacks its 'l' or 'r' branch")
         return Node(
-            data["node"],
-            tree_from_json(data["l"], allow_hole),
-            tree_from_json(data["r"], allow_hole),
+            atom,
+            _tree_from_json(data["l"], allow_hole, names),
+            _tree_from_json(data["r"], allow_hole, names),
         )
-    raise ValueError(f"not a tree object: {data!r}")
+    raise ParseError(f"not a tree object: {data!r}")

@@ -1,10 +1,24 @@
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
+from sclkit import (
+    cd,
+    dd,
+    enumerate_candidates,
+    eval_tree,
+    format_term,
+    format_tree,
+    invert,
+    term_to_json,
+    tree_to_json,
+    tsd,
+)
 from sclkit.cli import main
+from sclkit.generate import random_snf_term
 
 
 def run(capsys, *argv):
@@ -155,6 +169,67 @@ def test_semantic_error_exit_code(capsys):
     assert code == 65 and "TreeTooLarge" in err
     code, _, err = run(capsys, "invert", "(T <a> T")
     assert code == 65
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert", '{"node": 5, "l": {"leaf":"T"}, "r": {"leaf":"F"}}'],
+        ["invert", '{"node": "a"}'],
+        ["decompose", "--kind", "cd", '{"node": "a"}'],
+        ["invert", "(T <_x> F)"],
+        ["decompose", "--kind", "tsd", "(T <_x> F)"],
+        ["invert", '{"node": "_x", "l": {"leaf":"T"}, "r": {"leaf":"F"}}'],
+    ],
+)
+def test_malformed_tree_input_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (65, "")
+    assert err.startswith("error: ParseError: ") and "Traceback" not in err
+
+
+_SELECTOR = {"cd": (cd, "ccd"), "dd": (dd, "cdd"), "tsd": (tsd, "ctsd")}
+
+
+def _expected_decompose(tree, kind, as_json):
+    selector, candidate_kind = _SELECTOR[kind]
+    candidates = enumerate_candidates(tree, candidate_kind)
+    selected = selector(tree)
+    if as_json:
+        encode = lambda d: {"context": tree_to_json(d.context), "core": tree_to_json(d.core)}
+        data = {
+            "kind": kind,
+            "candidates": [encode(d) for d in candidates],
+            "selected": encode(selected) if selected else None,
+        }
+        return json.dumps(data, sort_keys=True) + "\n"
+    lines = [
+        f"candidate {i}: context={format_tree(d.context)} core={format_tree(d.core)}"
+        for i, d in enumerate(candidates, start=1)
+    ]
+    if selected is None:
+        lines.append("selected: none")
+    else:
+        lines.append(
+            f"selected: context={format_tree(selected.context)} core={format_tree(selected.core)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_decompose_and_invert_output_is_the_library_output(capsys):
+    rng = random.Random(31)
+    for _ in range(30):
+        term = random_snf_term(rng, budget=rng.randint(1, 5), max_depth=rng.randint(1, 2))
+        tree = eval_tree(term)
+        for text in (format_tree(tree), json.dumps(tree_to_json(tree))):
+            for kind in ("cd", "dd", "tsd"):
+                for extra in ([], ["--json"]):
+                    got = run(capsys, "decompose", text, "--kind", kind, *extra)
+                    assert got == (0, _expected_decompose(tree, kind, bool(extra)), "")
+            assert invert(tree) == term
+            assert run(capsys, "invert", text) == (0, format_term(term) + "\n", "")
+            expected = json.dumps(term_to_json(term), sort_keys=True) + "\n"
+            assert run(capsys, "invert", text, "--json") == (0, expected, "")
 
 
 def test_module_entry_point():

@@ -1,7 +1,10 @@
 import random
+from functools import reduce
 
 import pytest
 
+import sclkit.decompose
+import sclkit.trees
 from sclkit import (
     And,
     Decomposition,
@@ -26,6 +29,8 @@ from sclkit import (
 from sclkit.generate import (
     random_cterm,
     random_dterm,
+    random_scl_term,
+    random_snf_term,
     random_star_term,
     random_tree,
     random_tterm,
@@ -106,12 +111,13 @@ def test_candidates_reconstruct_and_are_strict():
 
 
 def test_candidate_order_is_by_core_depth():
+    # strictly increasing: the minimum-depth core is unique, so no tie
     rng = random.Random(23)
-    for _ in range(100):
-        tree = random_tree(rng, max_depth=4)
+    trees = [random_tree(rng, max_depth=4) for _ in range(100)] + seeded_trees(29)
+    for tree in trees:
         for kind in ("ccd", "cdd", "ctsd"):
             depths = [c.core.depth for c in enumerate_candidates(tree, kind)]
-            assert depths == sorted(depths)
+            assert all(a < b for a, b in zip(depths, depths[1:]))
 
 
 def test_conjunction_decomposition_theorem():
@@ -148,3 +154,140 @@ def test_tstar_decomposition_theorem():
             replace(eval_tree(p), for_true=Leaf.HOLE), eval_tree(q)
         )
         assert is_nondecomposable(eval_tree(q))
+
+
+# The brute-force enumeration that the census replaced, kept as an oracle:
+# every distinct two-leaf subtree is holed by rebuilding the whole tree.
+
+
+def reference_replace_subtree(x, target, replacement):
+    if x == target:
+        return replacement
+    if isinstance(x, Leaf):
+        return x
+    left = reference_replace_subtree(x.left, target, replacement)
+    right = reference_replace_subtree(x.right, target, replacement)
+    if left is x.left and right is x.right:
+        return x
+    return Node(x.atom, left, right)
+
+
+def reference_distinct_cores(x):
+    seen = {}
+    for index, s in enumerate(subtrees(x)):
+        if s.has_true and s.has_false and s not in seen:
+            seen[s] = index
+    return sorted(seen, key=lambda s: (s.depth, seen[s]))
+
+
+def reference_is_nondecomposable(z):
+    seen = set()
+    for part in subtrees(z):
+        if part == z or part in seen:
+            continue
+        seen.add(part)
+        context = reference_replace_subtree(z, part, Leaf.HOLE)
+        if not context.has_true and not context.has_false:
+            return False
+    return True
+
+
+def reference_candidates(x, kind):
+    out = []
+    for core in reference_distinct_cores(x):
+        context = reference_replace_subtree(x, core, Leaf.HOLE)
+        if kind == "ccd":
+            ok = context.has_false and not context.has_true
+        elif kind == "cdd":
+            ok = context.has_true and not context.has_false
+        else:
+            ok = (
+                not context.has_true
+                and not context.has_false
+                and reference_is_nondecomposable(core)
+            )
+        if ok:
+            out.append(Decomposition(context, core))
+    return out
+
+
+def seeded_trees(seed):
+    """Random trees (some with holes), and trees of random terms and of
+    random normal forms, which share subtrees."""
+    rng = random.Random(seed)
+    trees = [
+        random_tree(rng, max_depth=rng.randint(1, 6), hole_prob=rng.choice([0, 0.2]))
+        for _ in range(300)
+    ]
+    trees += [eval_tree(random_scl_term(rng, max_depth=6)) for _ in range(150)]
+    trees += [
+        eval_tree(random_snf_term(rng, budget=rng.randint(1, 5), max_depth=rng.randint(1, 2)))
+        for _ in range(60)
+    ]
+    return trees
+
+
+SELECTORS = {"ccd": cd, "cdd": dd, "ctsd": tsd}
+
+
+def test_census_matches_brute_force_reference():
+    for x in seeded_trees(27):
+        for kind, selector in SELECTORS.items():
+            expected = reference_candidates(x, kind)
+            assert enumerate_candidates(x, kind) == expected
+            assert selector(x) == (expected[0] if expected else None)
+        for s in set(subtrees(x)):
+            assert is_nondecomposable(s) == reference_is_nondecomposable(s)
+
+
+def physical_nodes(x):
+    seen, stack = set(), [x]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Node) and id(s) not in seen:
+            seen.add(id(s))
+            stack += [s.left, s.right]
+    return len(seen)
+
+
+def test_census_counts_physical_nodes(monkeypatch):
+    # (a||b) && ... && (a||b), 20 times: 40 node objects, 4.2 M logical nodes
+    term = reduce(And, [parse("a || b")] * 20)
+    x = eval_tree(term, cap=None)
+    assert x.size > 10**6 and physical_nodes(x) == 40
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decompose walked the logical tree")
+
+    monkeypatch.setattr(sclkit.decompose, "subtrees", forbidden, raising=False)
+    monkeypatch.setattr(sclkit.trees, "subtrees", forbidden)
+    monkeypatch.setattr(sclkit.decompose, "replace_subtree", forbidden)
+    monkeypatch.setattr(Node, "__eq__", forbidden)
+    candidates = enumerate_candidates(x, "ccd")
+    first = cd(x)
+    no_dd = dd(x)
+    monkeypatch.undo()
+
+    # the ccd cores are the trees of the 19 shorter chains, shallowest first
+    tails = [eval_tree(reduce(And, [parse("a || b")] * n), cap=None) for n in range(1, 20)]
+    assert [(c.core.size, hash(c.core)) for c in candidates] == [
+        (t.size, hash(t)) for t in tails
+    ]
+    for c in candidates:
+        assert physical_nodes(c.context) <= 40
+        assert c.context.has_hole and c.context.has_false and not c.context.has_true
+    assert first.core is candidates[0].core
+    assert no_dd is None
+
+
+def test_census_has_no_recursion_limit():
+    # a right spine 5,000 nodes deep: (T <a> (T <a> ... (T <a> F)))
+    x = Leaf.FALSE
+    for _ in range(5000):
+        x = Node("a", Leaf.TRUE, x)
+    split = dd(x)
+    assert split.core == Node("a", Leaf.TRUE, Leaf.FALSE)
+    assert split.context.depth == 4999 and split.context.size == x.size - 2
+    assert cd(x) is None
+    assert is_nondecomposable(x)
+    assert tsd(x).context is Leaf.HOLE

@@ -154,7 +154,9 @@ def test_tree_text_roundtrip():
         assert parse_tree(format_tree(x)) == x
 
 
-@pytest.mark.parametrize("bad", ["", "(T <a>)", "(T a F)", "T F", "(T <T> F)", "(T <a> F"])
+@pytest.mark.parametrize(
+    "bad", ["", "(T <a>)", "(T a F)", "T F", "(T <T> F)", "(T <a> F", "(T <_x> F)", "(T <é> F)"]
+)
 def test_tree_text_errors(bad):
     with pytest.raises(ParseError):
         parse_tree(bad)
@@ -170,8 +172,28 @@ def test_tree_json_roundtrip():
         "l": {"leaf": "T"},
         "r": {"leaf": "hole"},
     }
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         tree_from_json({"leaf": "hole"}, allow_hole=False)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [],
+        {},
+        {"leaf": "^"},
+        {"node": "a"},
+        {"node": "a", "l": {"leaf": "T"}},
+        {"node": 5, "l": {"leaf": "T"}, "r": {"leaf": "F"}},
+        {"node": ["a"], "l": {"leaf": "T"}, "r": {"leaf": "F"}},
+        {"node": "_x", "l": {"leaf": "T"}, "r": {"leaf": "F"}},
+        {"node": "F", "l": {"leaf": "T"}, "r": {"leaf": "F"}},
+        {"node": "a", "l": 3, "r": {"leaf": "F"}},
+    ],
+)
+def test_tree_json_errors(bad):
+    with pytest.raises(ParseError):
+        tree_from_json(bad)
 
 
 def reference_eval_tree(term, cap):
