@@ -54,9 +54,11 @@ from .models import (
     FiniteModel,
     FreeModelCheck,
     IndependenceEntry,
+    IndependenceRow,
     ValidationResult,
     check_independence,
     eval_in_model,
+    independence_rows,
     independence_suite,
     model_from_json,
     model_to_json,

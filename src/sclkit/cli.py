@@ -13,18 +13,12 @@ import json
 import sys
 
 from . import __version__
-from .axioms import eqfscl_minus
 from .cp import basic_form, decide_eq_cp, scl_to_cp
 from .decompose import enumerate_candidates, select_decomposition
 from .errors import SclError
 from .generate import random_scl_term
 from .inverse import invert
-from .models import (
-    eval_in_model,
-    independence_suite,
-    model_to_json,
-    validates,
-)
+from .models import independence_rows, model_to_json
 from .normalize import classify, decide_eq, nf
 from .parser import parse
 from .terms import expand_full, format_term, term_to_json
@@ -117,15 +111,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_eq(args) -> int:
-    try:
-        lhs, rhs = _read_expr(args.lhs), _read_expr(args.rhs)
-        if args.engine == "cp":
-            equal = decide_eq_cp(lhs, rhs, args.cap)
-        else:
-            equal = decide_eq(lhs, rhs, args.engine, args.cap)
-    except SclError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    lhs, rhs = _read_expr(args.lhs), _read_expr(args.rhs)
+    if args.engine == "cp":
+        equal = decide_eq_cp(lhs, rhs, args.cap)
+    else:
+        equal = decide_eq(lhs, rhs, args.engine, args.cap)
     verdict = "EQUAL" if equal else "INEQUAL"
     print(json.dumps({"equal": equal, "verdict": verdict}) if args.json else verdict)
     return 0 if equal else 1
@@ -186,57 +176,34 @@ def _cmd_basic(args) -> int:
 
 
 def _cmd_models_check(args) -> int:
-    suite = independence_suite()
-    axioms = eqfscl_minus()
-    tags = [ax.tag for ax in axioms]
-    rows = []
-    all_ok = True
-    for entry in suite:
-        cells = {}
-        for ax in axioms:
-            valid = validates(entry.model, ax).valid
-            expected = ax.tag != entry.tag
-            if valid != expected:
-                all_ok = False
-            cells[ax.tag] = valid
-        lhs = eval_in_model(entry.model, entry.refutation.lhs)
-        rhs = eval_in_model(entry.model, entry.refutation.rhs)
-        if lhs == rhs:
-            all_ok = False
-        rows.append((entry, cells, lhs, rhs))
-
+    rows = independence_rows()
+    all_ok = all(row.ok for row in rows)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "models": [
-                        {
-                            "model": model_to_json(entry.model),
-                            "refutes": entry.tag,
-                            "axioms": cells,
-                            "refutation": str(entry.refutation),
-                            "lhs": lhs,
-                            "rhs": rhs,
-                            "note": entry.note,
-                        }
-                        for entry, cells, lhs, rhs in rows
-                    ],
-                    "pass": all_ok,
-                },
-                sort_keys=True,
-            )
-        )
+        models = [
+            {
+                "model": model_to_json(row.entry.model),
+                "refutes": row.entry.tag,
+                "axioms": row.valid,
+                "refutation": str(row.entry.refutation),
+                "lhs": row.lhs,
+                "rhs": row.rhs,
+                "note": row.entry.note,
+            }
+            for row in rows
+        ]
+        print(json.dumps({"models": models, "pass": all_ok}, sort_keys=True))
         return 0 if all_ok else 1
 
-    width = max(len(e.model.name) for e in suite)
-    print(" ".join([f"{'model':<{width}}"] + [f"{t:>4}" for t in tags]))
-    for entry, cells, _, _ in rows:
-        marks = [f"{'ok' if cells[t] else 'no':>4}" for t in tags]
-        print(" ".join([f"{entry.model.name:<{width}}"] + marks))
+    width = max(len(row.entry.model.name) for row in rows)
+    print(" ".join([f"{'model':<{width}}"] + [f"{t:>4}" for t in rows[0].valid]))
+    for row in rows:
+        marks = [f"{'ok' if valid else 'no':>4}" for valid in row.valid.values()]
+        print(" ".join([f"{row.entry.model.name:<{width}}"] + marks))
     print()
-    for entry, _, lhs, rhs in rows:
-        word = "!=" if lhs != rhs else "=="
-        print(f"{entry.model.name}: refutes {entry.tag}: {entry.refutation}  [{lhs} {word} {rhs}]")
+    for row in rows:
+        entry, word = row.entry, "!=" if row.lhs != row.rhs else "=="
+        head = f"{entry.model.name}: refutes {entry.tag}: {entry.refutation}"
+        print(f"{head}  [{row.lhs} {word} {row.rhs}]")
         if entry.note:
             print(f"  note: {entry.note}")
     print()
@@ -350,20 +317,18 @@ def _build_parser() -> _ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    failed = 2 if args.fn is _cmd_eq else 65
     try:
         return args.fn(args)
     except SclError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 65
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return 65
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 65
     except RecursionError:
         print("error: input too deeply nested", file=sys.stderr)
-        return 65
+    return failed
 
 
 if __name__ == "__main__":

@@ -14,14 +14,14 @@ conditions, because a surviving core occurrence would put both leaf kinds
 back into the context.
 
 No context is built to be tested.  One census walks the object graph of
-the tree without recursion or tree comparison, so a shared subtree costs
-no more than one occurrence, and gives every subtree a structural class
-with its logical occurrence count and its T- and F-leaf counts.  A tree is
+the tree without recursion or tree comparison.  Nodes are interned, so it
+visits each distinct subtree once, and gives it a number with its logical
+occurrence count and its cached T- and F-leaf counts.  A tree is
 never a proper subtree of itself, so the occurrences of a core are
 disjoint and holing them removes exactly ``occ * T(core)`` T-leaves and
 ``occ * F(core)`` F-leaves.  This is the coverage rule: the context keeps
 a T-leaf iff ``occ * T(core) < T(tree)``, and likewise for F.  Only the
-contexts that are returned get built, each by one pass over the classes.
+contexts that are returned get built, each by one pass over the numbers.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Decomposition:
 
 def replace_subtree(x: Tree, target: Tree, replacement: Tree) -> Tree:
     """Replace all outermost occurrences of ``target`` in ``x``."""
-    if x == target:
+    if x is target:
         return replacement
     if isinstance(x, Leaf):
         return x
@@ -57,46 +57,32 @@ def replace_subtree(x: Tree, target: Tree, replacement: Tree) -> Tree:
 
 
 class _Census:
-    """The structural classes of the subtrees of one tree.
-
-    Classes are numbered children first, after the three leaves, so every
-    class inside class ``k`` has a smaller number; ``root`` is the class of
-    the whole tree, the last one unless the tree is a leaf.  Class ``k`` has
-    the representative tree ``tree[k]``, child classes ``left[k]`` and
-    ``right[k]`` (-1 for a leaf), T- and F-leaf counts ``t[k]`` and
-    ``f[k]``, and logical occurrence count ``occ[k]``.
+    """The distinct subtrees (distinct objects, as nodes are interned) of
+    one tree, numbered children first after the three leaves, so every
+    subtree inside number ``k`` has a smaller number.  ``root`` numbers the
+    whole tree.  Number ``k`` has the subtree ``tree[k]``, children
+    ``left[k]`` and ``right[k]`` (-1 for a leaf), T- and F-leaf counts
+    ``t[k]`` and ``f[k]``, and logical occurrence count ``occ[k]``.
     """
 
     __slots__ = ("tree", "left", "right", "t", "f", "occ", "root")
 
     def __init__(self, x: Tree):
-        leaves = (Leaf.TRUE, Leaf.FALSE, Leaf.HOLE)
-        tree, left, right = list(leaves), [-1, -1, -1], [-1, -1, -1]
-        t, f = [1, 0, 0], [0, 1, 0]
-        of = {id(leaf): k for k, leaf in enumerate(leaves)}  # physical -> class
-        table = {}  # (atom, left class, right class) -> class
-        get = of.get
-        stack = [x] if isinstance(x, Node) else []
+        tree = [Leaf.TRUE, Leaf.FALSE, Leaf.HOLE]
+        left, right = [-1, -1, -1], [-1, -1, -1]
+        of = {id(leaf): k for k, leaf in enumerate(tree)}  # subtree -> number
+        stack = [x]
         while stack:
             node = stack[-1]
-            l, r = get(id(node.left)), get(id(node.right))
-            if l is None or r is None:
-                if r is None:
-                    stack.append(node.right)
-                if l is None:
-                    stack.append(node.left)
-                continue
-            stack.pop()
-            key = (node.atom, l, r)
-            k = table.get(key)
-            if k is None:
-                k = table[key] = len(tree)
+            if id(node) in of:
+                stack.pop()
+            elif (l := of.get(id(node.left))) is None or (r := of.get(id(node.right))) is None:
+                stack += (node.right, node.left)
+            else:
+                of[id(stack.pop())] = len(tree)
                 tree.append(node)
                 left.append(l)
                 right.append(r)
-                t.append(t[l] + t[r])
-                f.append(f[l] + f[r])
-            of[id(node)] = k
         root = of[id(x)]
 
         # parents before children: push occurrence counts down
@@ -106,15 +92,17 @@ class _Census:
             occ[left[k]] += occ[k]
             occ[right[k]] += occ[k]
         self.tree, self.left, self.right, self.root = tree, left, right, root
-        self.t, self.f, self.occ = t, f, occ
+        self.t = [s.t_leaves for s in tree]
+        self.f = [s.f_leaves for s in tree]
+        self.occ = occ
 
     def candidates(self, kind: str) -> Iterator[int]:
         """The cores of the candidates of the given kind, shallowest first.
 
-        Holing class ``k`` keeps a T-leaf iff ``occ[k] * t[k]`` falls short
-        of the tree's T-leaves, and likewise for F.  Candidate cores of one
-        kind are nested (see ``select_decomposition``), and an inner class
-        has a smaller number, so class order is depth order.
+        Holing subtree ``k`` keeps a T-leaf iff ``occ[k] * t[k]`` falls
+        short of the tree's T-leaves, and likewise for F.  Candidate cores of
+        one kind are nested (see ``select_decomposition``), and an inner
+        subtree has a smaller number, so number order is depth order.
         """
         t, f, occ, root = self.t, self.f, self.occ, self.root
         for k in range(3, len(t)):
@@ -132,7 +120,7 @@ class _Census:
                 yield k
 
     def nondecomposable(self, z: int) -> bool:
-        """Whether no class inside class ``z`` covers all of its leaves."""
+        """Whether no subtree inside subtree ``z`` covers all of its leaves."""
         left, right, t, f = self.left, self.right, self.t, self.f
         occ = [0] * (z + 1)
         occ[z] = 1
@@ -147,7 +135,7 @@ class _Census:
         )
 
     def decomposition(self, c: int) -> Decomposition:
-        """The context that holes every occurrence of class ``c``, and ``c``."""
+        """The context that holes every occurrence of subtree ``c``, and ``c``."""
         tree, left, right = self.tree, self.left, self.right
         built = tree[:]
         built[c] = Leaf.HOLE

@@ -11,7 +11,8 @@ from random import Random
 from typing import Sequence
 
 from .terms import FALSE, TRUE, And, Atom, Cond, FullAnd, FullOr, Not, Or, Term, Var
-from .trees import Leaf, Node, Tree, eval_tree
+from .trees import Leaf, Node, Tree, _shape
+from .trees import eval_tree  # noqa: F401  (bench/worker.py traces generate.eval_tree)
 
 DEFAULT_ATOMS = ("a", "b", "c")
 
@@ -119,13 +120,14 @@ def random_substitution(
 
     ``max_tree`` rejection-samples terms whose evaluation tree is larger;
     law templates compose the trees of all their variables multiplicatively,
-    so unbounded draws would occasionally dwarf any node cap.
+    so unbounded draws would occasionally dwarf any node cap.  The size is
+    found by arithmetic; no tree is built.
     """
     out = {}
     for v in sorted(variables):
         term = random_scl_term(rng, atoms, max_depth)
         if max_tree is not None:
-            while eval_tree(term, cap=None).size > max_tree:
+            while _shape(term, None)[0] > max_tree:
                 term = random_scl_term(rng, atoms, max_depth)
         out[v] = term
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import NotInImage
 from .decompose import _Census, _select, cd, dd, tsd  # noqa: F401  (cd, dd stay importable from here)
 from .terms import And, Atom, Not, Or, Term, FALSE, TRUE
-from .trees import Leaf, Tree, graft
+from .trees import Leaf, Tree, replace
 
 
 def invert_tterm(x: Tree) -> Term:
@@ -53,12 +53,12 @@ def invert_star(x: Tree) -> Term:
     split = _select(census, "ccd")
     if split is not None:
         return And(
-            invert_star(graft(split.context, Leaf.TRUE)), invert_star(split.core)
+            invert_star(replace(split.context, for_hole=Leaf.TRUE)), invert_star(split.core)
         )
     split = _select(census, "cdd")
     if split is not None:
         return Or(
-            invert_star(graft(split.context, Leaf.FALSE)), invert_star(split.core)
+            invert_star(replace(split.context, for_hole=Leaf.FALSE)), invert_star(split.core)
         )
     return invert_lterm(x)
 
@@ -75,5 +75,5 @@ def invert(x: Tree) -> Term:
     if split is None:
         raise NotInImage("no T-*-decomposition", x, "invert")
     return And(
-        invert_tterm(graft(split.context, Leaf.TRUE)), invert_star(split.core)
+        invert_tterm(replace(split.context, for_hole=Leaf.TRUE)), invert_star(split.core)
     )

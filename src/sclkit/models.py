@@ -255,32 +255,54 @@ def independence_suite() -> list[IndependenceEntry]:
     ]
 
 
+@dataclass(frozen=True)
+class IndependenceRow:
+    """One suite model checked: ``valid`` maps each reduced-set axiom tag,
+    in catalogue order, to whether the model validates it; ``lhs`` and
+    ``rhs`` are the values of the two sides of the refutation."""
+
+    entry: IndependenceEntry
+    valid: dict[str, bool]
+    lhs: int
+    rhs: int
+
+    @property
+    def ok(self) -> bool:
+        """The model refutes its own axiom, and only that one."""
+        return self.lhs != self.rhs and all(
+            valid == (tag != self.entry.tag) for tag, valid in self.valid.items()
+        )
+
+
+def independence_rows() -> list[IndependenceRow]:
+    """Check every suite model against every reduced-set axiom."""
+    axioms = eqfscl_minus()
+    return [
+        IndependenceRow(
+            entry,
+            {ax.tag: validates(entry.model, ax).valid for ax in axioms},
+            eval_in_model(entry.model, entry.refutation.lhs),
+            eval_in_model(entry.model, entry.refutation.rhs),
+        )
+        for entry in independence_suite()
+    ]
+
+
 def check_independence() -> tuple[bool, list[str]]:
     """Verify the whole suite: each model refutes exactly its axiom.
 
     Returns overall success and one report line per (model, axiom) pair
     plus one per refutation.
     """
+    rows = independence_rows()
     lines = []
-    ok = True
-    axioms = eqfscl_minus()
-    for entry in independence_suite():
-        for ax in axioms:
-            result = validates(entry.model, ax)
-            expected = ax.tag != entry.tag
-            if result.valid != expected:
-                ok = False
-            status = "ok" if result.valid == expected else "UNEXPECTED"
-            word = "valid" if result.valid else "refuted"
-            lines.append(f"{entry.model.name} {ax.tag}: {word} ({status})")
-        lhs = eval_in_model(entry.model, entry.refutation.lhs)
-        rhs = eval_in_model(entry.model, entry.refutation.rhs)
-        if lhs == rhs:
-            ok = False
-        lines.append(
-            f"{entry.model.name} refutation {entry.refutation}: {lhs} != {rhs}"
-        )
-    return ok, lines
+    for row in rows:
+        name = row.entry.model.name
+        for tag, valid in row.valid.items():
+            status = "ok" if valid == (tag != row.entry.tag) else "UNEXPECTED"
+            lines.append(f"{name} {tag}: {'valid' if valid else 'refuted'} ({status})")
+        lines.append(f"{name} refutation {row.entry.refutation}: {row.lhs} != {row.rhs}")
+    return all(row.ok for row in rows), lines
 
 
 @dataclass(frozen=True)

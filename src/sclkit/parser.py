@@ -21,6 +21,8 @@ from .terms import (
     Or,
     Term,
     Var,
+    _RESERVED,
+    _is_name,
     check_mode,
 )
 
@@ -31,7 +33,8 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     """Split ``text`` into (kind, lexeme, position) triples.
 
     Kinds are ``ident``, ``var``, one of the punctuation lexemes, and a
-    final ``end`` marker.
+    final ``end`` marker.  Names follow the rule of term atoms and
+    variables; a word that breaks it raises ``ParseError``.
     """
     tokens = []
     i, n = 0, len(text)
@@ -41,19 +44,21 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
             i += 1
             continue
         if c.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
+            j = _word_end(text, i)
+            word = text[i:j]
+            if word not in _RESERVED and not _is_name(word):
+                raise ParseError(f"invalid atom name {word!r}", i)
+            tokens.append(("ident", word, i))
             i = j
             continue
         if c == "$":
-            j = i + 1
-            if j >= n or not text[j].isalpha():
+            if i + 1 >= n or not text[i + 1].isalpha():
                 raise ParseError("expected identifier after '$'", i)
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("var", text[i + 1 : j], i))
+            j = _word_end(text, i + 1)
+            name = text[i + 1 : j]
+            if not _is_name(name):
+                raise ParseError(f"invalid variable name {name!r}", i)
+            tokens.append(("var", name, i))
             i = j
             continue
         for punct in _PUNCT:
@@ -65,6 +70,14 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {c!r}", i)
     tokens.append(("end", "", n))
     return tokens
+
+
+def _word_end(text: str, i: int) -> int:
+    """The end of the word at ``i``: letters, digits and underscores, in
+    any script, so that a name the ``terms`` rule rejects is one token."""
+    while i < len(text) and (text[i].isalnum() or text[i] == "_"):
+        i += 1
+    return i
 
 
 class _Parser:

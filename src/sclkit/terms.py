@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import ModeViolation, UnboundVariable
+from .errors import ModeViolation, ParseError, UnboundVariable
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RESERVED = frozenset({"T", "F"})
@@ -33,8 +33,13 @@ class Term:
         return format_term(self)
 
 
+def _is_name(name) -> bool:
+    """The one name rule of atoms and variables."""
+    return isinstance(name, str) and bool(_IDENT_RE.match(name)) and name not in _RESERVED
+
+
 def _check_name(name: str, what: str) -> None:
-    if not _IDENT_RE.match(name) or name in _RESERVED:
+    if not _is_name(name):
         raise ValueError(f"invalid {what} name: {name!r}")
 
 
@@ -326,32 +331,41 @@ def term_to_json(t: Term):
 
 
 def term_from_json(data, mode: str = "open") -> Term:
-    """Decode the JSON object form; ``mode`` restricts admissible node kinds."""
+    """Decode the JSON object form; ``mode`` restricts admissible node kinds.
+
+    Raises ``ParseError`` on any malformed input.
+    """
     return check_mode(_from_json(data), mode)
 
 
+_JSON_FIELDS = {
+    "not": (Not, ("arg",)),
+    "and": (And, ("l", "r")),
+    "or": (Or, ("l", "r")),
+    "fulland": (FullAnd, ("l", "r")),
+    "fullor": (FullOr, ("l", "r")),
+    "cond": (Cond, ("then", "if", "else")),
+}
+
+
 def _from_json(data) -> Term:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError(f"not a term object: {data!r}")
+    if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
+        raise ParseError(f"not a term object: {data!r}")
     kind = data["kind"]
-    if kind == "true":
-        return TRUE
-    if kind == "false":
-        return FALSE
-    if kind == "atom":
-        return Atom(data["name"])
-    if kind == "var":
-        return Var(data["name"])
-    if kind == "not":
-        return Not(_from_json(data["arg"]))
-    if kind in ("and", "or", "fulland", "fullor"):
-        cls = {"and": And, "or": Or, "fulland": FullAnd, "fullor": FullOr}[kind]
-        return cls(_from_json(data["l"]), _from_json(data["r"]))
-    if kind == "cond":
-        return Cond(
-            _from_json(data["then"]), _from_json(data["if"]), _from_json(data["else"])
-        )
-    raise ValueError(f"unknown term kind: {kind!r}")
+    if kind in ("true", "false"):
+        return TRUE if kind == "true" else FALSE
+    if kind in ("atom", "var"):
+        name = data.get("name")
+        if not _is_name(name):
+            raise ParseError(f"invalid {kind} name: {name!r}")
+        return Atom(name) if kind == "atom" else Var(name)
+    if kind not in _JSON_FIELDS:
+        raise ParseError(f"unknown term kind: {kind!r}")
+    cls, fields = _JSON_FIELDS[kind]
+    for name in fields:
+        if name not in data:
+            raise ParseError(f"{kind} term lacks its {name!r} field")
+    return cls(*(_from_json(data[name]) for name in fields))
 
 
 @dataclass(frozen=True)

@@ -2,32 +2,35 @@
 
 A tree is a finite binary tree over atoms whose leaves are T or F; the left
 branch of a node is taken when its atom evaluates to true.  Trees used as
-decomposition contexts may additionally carry hole leaves (``^``).  Nodes
-cache size, depth, leaf flags, and a structural hash, so those queries and
-structural comparisons stay cheap on shared subtrees; ``size`` counts the
-logical tree, not the shared object graph.
+decomposition contexts may additionally carry hole leaves (``^``).
 
-``eval_tree`` builds by continuation passing rather than by copying trees
-through leaf replacement, so its object graph is linear in the term (one
-node per atom occurrence) while the logical tree may be exponential.  The
-node cap bounds the logical tree size of every subterm's tree.
+Nodes are hash-consed: ``Node(atom, left, right)`` returns the one live
+node of that structure, so equal trees are one object, ``==`` is identity,
+and every builder shares subtrees.  The unique table holds weak references
+(it does not outlive the trees) and is filled by ``dict.setdefault``, so
+threads that build one structure at once get one node.  Nodes cache size
+(logical, not of the object graph), depth, leaf counts and leaf flags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+import weakref
+from _weakref import _remove_dead_weakref
 from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .errors import ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
 from .terms import And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
-from .terms import _IDENT_RE, _RESERVED
+from .terms import _is_name
 
 DEFAULT_NODE_CAP = 1_000_000
 
 
 class Tree:
     """Base class for tree nodes."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -38,58 +41,75 @@ class Leaf(Tree, Enum):
     FALSE = "F"
     HOLE = "^"
 
-    @property
-    def size(self) -> int:
-        return 1
-
-    @property
-    def depth(self) -> int:
-        return 0
-
-    @property
-    def has_true(self) -> bool:
-        return self is Leaf.TRUE
-
-    @property
-    def has_false(self) -> bool:
-        return self is Leaf.FALSE
-
-    @property
-    def has_hole(self) -> bool:
-        return self is Leaf.HOLE
+    def __init__(self, value: str):
+        self.size, self.depth, self.has_hole = 1, 0, value == "^"
+        self.t_leaves, self.f_leaves = int(value == "T"), int(value == "F")
+        self.has_true, self.has_false = value == "T", value == "F"
 
     def __str__(self) -> str:
         return self.value
 
+    __hash__ = object.__hash__  # by identity, in C; Enum's hash runs Python
 
-@dataclass(frozen=True, eq=False)
-class Node(Tree):
-    atom: str
-    left: Tree
-    right: Tree
 
-    def __post_init__(self):
-        l, r = self.left, self.right
-        object.__setattr__(self, "size", 1 + l.size + r.size)
-        object.__setattr__(self, "depth", 1 + max(l.depth, r.depth))
-        object.__setattr__(self, "has_true", l.has_true or r.has_true)
-        object.__setattr__(self, "has_false", l.has_false or r.has_false)
-        object.__setattr__(self, "has_hole", l.has_hole or r.has_hole)
-        object.__setattr__(self, "_h", hash((self.atom, hash(l), hash(r))))
+class _Ref(weakref.ref):  # carries its table key, for _drop
+    __slots__ = ("key",)
 
-    def __hash__(self) -> int:
-        return self._h
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Node)
-            and self._h == other._h
-            and self.atom == other.atom
-            and self.left == other.left
-            and self.right == other.right
-        )
+# (atom, left, right) -> _Ref to the one live node of that structure, whose
+# entry goes when it dies.  Children are interned, so identity compares them.
+_table: dict[tuple[str, Tree, Tree], _Ref] = {}
+
+
+def _drop(ref: _Ref, remove=_remove_dead_weakref, table=_table) -> None:
+    # The entry may already hold a newer node of the same structure.
+    remove(table, ref.key)
+
+
+class _Fields(Tree):  # the slots of Node, writable while a node is made
+    __slots__ = ("atom", "left", "right", "size", "depth", "t_leaves", "f_leaves")
+    __slots__ += ("has_true", "has_false", "has_hole", "__weakref__")
+
+
+class Node(_Fields):
+    """An interned, immutable tree node: the one live node of its structure."""
+
+    __slots__ = ()
+
+    def __new__(cls, atom: str, left: Tree, right: Tree) -> Node:
+        key = (atom, left, right)
+        ref = _table.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = object.__new__(_Fields)
+        node.atom, node.left, node.right = atom, left, right
+        node.size = 1 + left.size + right.size
+        node.depth = 1 + (left.depth if left.depth > right.depth else right.depth)
+        node.t_leaves = left.t_leaves + right.t_leaves
+        node.f_leaves = left.f_leaves + right.f_leaves
+        node.has_true = left.has_true or right.has_true
+        node.has_false = left.has_false or right.has_false
+        node.has_hole = left.has_hole or right.has_hole
+        node.__class__ = Node  # frozen from here on
+        new = _Ref(node, _drop)
+        new.key = key
+        while (ref := _table.setdefault(key, new)) is not new:
+            other = ref()  # another thread interned this structure first
+            if other is not None:
+                return other
+            _remove_dead_weakref(_table, key)
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Node, (self.atom, self.left, self.right)
+
+    def __repr__(self) -> str:
+        return f"Node(atom={self.atom!r}, left={self.left!r}, right={self.right!r})"
 
 
 class LeafProfile(NamedTuple):
@@ -113,15 +133,7 @@ def subtrees(x: Tree) -> Iterator[Tree]:
         s = stack.pop()
         yield s
         if isinstance(s, Node):
-            stack.append(s.right)
-            stack.append(s.left)
-
-
-def _node(atom: str, left: Tree, right: Tree, cap: int | None) -> Node:
-    node = Node(atom, left, right)
-    if cap is not None and node.size > cap:
-        raise TreeTooLarge(f"tree exceeds the node cap of {cap}")
-    return node
+            stack += (s.right, s.left)
 
 
 def replace(
@@ -129,38 +141,38 @@ def replace(
     for_true: Tree = Leaf.TRUE,
     for_false: Tree = Leaf.FALSE,
     cap: int | None = None,
+    *,
+    for_hole: Tree = Leaf.HOLE,
 ) -> Tree:
-    """Substitute trees for the T- and F-leaves of ``x``.
+    """Substitute trees for the T-, F- and hole leaves of ``x``.
 
-    Omitted arguments default to the identity replacement.  Hole leaves are
-    untouched.  Subtrees in which nothing changes are reused as-is.
+    Omitted arguments default to the identity replacement.  Each distinct
+    subtree is visited once, without recursion, and subtrees in which
+    nothing changes are reused as-is.
     """
-    if x is Leaf.TRUE:
-        return for_true
-    if x is Leaf.FALSE:
-        return for_false
-    if x is Leaf.HOLE:
-        return x
-    if (for_true is Leaf.TRUE or not x.has_true) and (
-        for_false is Leaf.FALSE or not x.has_false
-    ):
-        return x
-    left = replace(x.left, for_true, for_false, cap)
-    right = replace(x.right, for_true, for_false, cap)
-    if left is x.left and right is x.right:
-        return x
-    return _node(x.atom, left, right, cap)
+    new = {id(Leaf.TRUE): for_true, id(Leaf.FALSE): for_false, id(Leaf.HOLE): for_hole}
+    on_t, on_f = for_true is not Leaf.TRUE, for_false is not Leaf.FALSE
+    on_h = for_hole is not Leaf.HOLE
+    stack = [x]
+    while stack:
+        s = stack[-1]
+        if id(s) in new:
+            stack.pop()
+        elif not (on_t and s.has_true or on_f and s.has_false or on_h and s.has_hole):
+            new[id(stack.pop())] = s
+        elif (l := new.get(id(s.left))) is None or (r := new.get(id(s.right))) is None:
+            stack += (s.right, s.left)
+        else:
+            stack.pop()
+            new[id(s)] = node = Node(s.atom, l, r)
+            if cap is not None and node.size > cap:
+                raise TreeTooLarge(f"tree exceeds the node cap of {cap}")
+    return new[id(x)]
 
 
 def graft(context: Tree, filler: Tree, cap: int | None = None) -> Tree:
     """Replace every hole leaf of ``context`` with ``filler``."""
-    if context is Leaf.HOLE:
-        return filler
-    if not context.has_hole:
-        return context
-    left = graft(context.left, filler, cap)
-    right = graft(context.right, filler, cap)
-    return _node(context.atom, left, right, cap)
+    return replace(context, cap=cap, for_hole=filler)
 
 
 def eval_tree(term: Term, cap: int | None = DEFAULT_NODE_CAP) -> Tree:
@@ -173,8 +185,8 @@ def eval_tree(term: Term, cap: int | None = DEFAULT_NODE_CAP) -> Tree:
 
     The tree is built by continuation passing: each subterm is evaluated
     once, with the trees to continue into at its T- and F-leaves, so the
-    object graph has one ``Node`` per atom occurrence and is linear in the
-    term even when the logical tree is exponential.  ``cap`` bounds the
+    object graph has at most one node per atom occurrence and is linear in
+    the term even when the logical tree is exponential.  ``cap`` bounds the
     logical size of every subterm's tree: ``TreeTooLarge`` is raised when
     one of them is a node larger than ``cap``, which is checked by
     arithmetic before anything is built.
@@ -247,17 +259,12 @@ def _build(term: Term, k_true: Tree, k_false: Tree) -> Tree:
             return _build(g, _build(a, k_true, k_false), _build(b, k_true, k_false))
 
 
-def _is_atom_name(atom, known: set[str]) -> bool:
-    """Whether ``atom`` follows the name rule of term atoms.  Names in
-    ``known`` passed before and are not checked again; a passing name is
-    added to it."""
-    if not isinstance(atom, str):
-        return False
-    if atom not in known:
-        if not _IDENT_RE.match(atom) or atom in _RESERVED:
-            return False
-        known.add(atom)
-    return True
+def _check_atom(atom, known: set[str], pos: int | None = None) -> None:
+    """Raise ``ParseError`` unless ``atom`` follows the name rule of term
+    atoms.  Names in ``known`` passed before; a passing name is added."""
+    if not (isinstance(atom, str) and atom in known or _is_name(atom)):
+        raise ParseError(f"invalid atom name {atom!r}", pos)
+    known.add(atom)
 
 
 def format_tree(x: Tree) -> str:
@@ -267,52 +274,55 @@ def format_tree(x: Tree) -> str:
     return f"({format_tree(x.left)} <{x.atom}> {format_tree(x.right)})"
 
 
+# After optional whitespace: a leaf or "(", an "<atom>", or ")".
+_TREE_TOKEN = re.compile(r"\s*(?:([TF^(])|<([^>]*)>|(\)))")
+_LEAVES = {"T": Leaf.TRUE, "F": Leaf.FALSE, "^": Leaf.HOLE}
+
+
 def parse_tree(text: str) -> Tree:
-    """Parse the canonical text form back into a tree.
+    """Parse the canonical text form back into a tree, without recursion.
 
     Atom names follow the rule of term atoms; each distinct name is checked
     once.  Raises ``ParseError`` on any malformed input.
     """
-    tree, pos = _parse_tree(text, _skip_ws(text, 0), set())
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError(f"unexpected trailing {text[pos]!r}", pos)
-    return tree
+    match, names, pos = _TREE_TOKEN.match, set(), 0
+    opened = []  # per open "(": None, then (atom, left) once the atom is read
+    while True:
+        m = match(text, pos)
+        if m is None or m.group(1) is None:
+            pos = _skip_ws(text, pos)
+            if pos == len(text):
+                raise ParseError("unexpected end of input", pos)
+            raise ParseError(f"expected 'T', 'F', '^', or '(', found {text[pos]!r}", pos)
+        pos = m.end()
+        if m.group(1) == "(":
+            opened.append(None)
+            continue
+        tree = _LEAVES[m.group(1)]
+        while opened:  # ``tree`` is a branch of the innermost open node
+            m = match(text, pos)
+            if opened[-1] is None:
+                if m is None or m.group(2) is None:
+                    pos = _skip_ws(text, pos)
+                    if text.startswith("<", pos):
+                        raise ParseError("unterminated '<atom>'", pos)
+                    raise ParseError("expected '<atom>'", pos)
+                _check_atom(m.group(2), names, m.start(2))
+                opened[-1], pos = (m.group(2), tree), m.end()
+                break
+            if m is None or m.group(3) is None:
+                raise ParseError("expected ')'", _skip_ws(text, pos))
+            atom, left = opened.pop()
+            tree, pos = Node(atom, left, tree), m.end()
+        else:
+            pos = _skip_ws(text, pos)
+            if pos != len(text):
+                raise ParseError(f"unexpected trailing {text[pos]!r}", pos)
+            return tree
 
 
 def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_tree(text: str, pos: int, names: set[str]) -> tuple[Tree, int]:
-    if pos >= len(text):
-        raise ParseError("unexpected end of input", pos)
-    c = text[pos]
-    if c == "T":
-        return Leaf.TRUE, pos + 1
-    if c == "F":
-        return Leaf.FALSE, pos + 1
-    if c == "^":
-        return Leaf.HOLE, pos + 1
-    if c != "(":
-        raise ParseError(f"expected 'T', 'F', '^', or '(', found {c!r}", pos)
-    left, pos = _parse_tree(text, _skip_ws(text, pos + 1), names)
-    pos = _skip_ws(text, pos)
-    if pos >= len(text) or text[pos] != "<":
-        raise ParseError("expected '<atom>'", pos)
-    end = text.find(">", pos)
-    if end < 0:
-        raise ParseError("unterminated '<atom>'", pos)
-    atom = text[pos + 1 : end]
-    if atom not in names and not _is_atom_name(atom, names):
-        raise ParseError(f"invalid atom name {atom!r}", pos + 1)
-    right, pos = _parse_tree(text, _skip_ws(text, end + 1), names)
-    pos = _skip_ws(text, pos)
-    if pos >= len(text) or text[pos] != ")":
-        raise ParseError("expected ')'", pos)
-    return Node(atom, left, right), pos + 1
+    return len(text) - len(text[pos:].lstrip())
 
 
 def tree_to_json(x: Tree):
@@ -351,8 +361,7 @@ def _tree_from_json(data, allow_hole: bool, names: set[str]) -> Tree:
         raise ParseError(f"unknown leaf {leaf!r}")
     if "node" in data:
         atom = data["node"]
-        if not _is_atom_name(atom, names):
-            raise ParseError(f"invalid atom name {atom!r}")
+        _check_atom(atom, names)
         if "l" not in data or "r" not in data:
             raise ParseError(f"node {atom!r} lacks its 'l' or 'r' branch")
         return Node(

@@ -9,14 +9,19 @@ from sclkit import (
     cd,
     dd,
     enumerate_candidates,
+    eval_in_model,
     eval_tree,
     format_term,
     format_tree,
+    independence_suite,
     invert,
+    model_to_json,
     term_to_json,
     tree_to_json,
     tsd,
+    validates,
 )
+from sclkit.axioms import eqfscl_minus
 from sclkit.cli import main
 from sclkit.generate import random_snf_term
 
@@ -138,6 +143,51 @@ def test_models_check(capsys):
     assert len(data["models"]) == 8
 
 
+def reference_models_check(as_json):
+    """What ``scl models check`` printed when it ran the checks itself."""
+    axioms = eqfscl_minus()
+    rows, all_ok = [], True
+    for entry in independence_suite():
+        cells = {ax.tag: validates(entry.model, ax).valid for ax in axioms}
+        all_ok &= all(cells[ax.tag] == (ax.tag != entry.tag) for ax in axioms)
+        lhs = eval_in_model(entry.model, entry.refutation.lhs)
+        rhs = eval_in_model(entry.model, entry.refutation.rhs)
+        all_ok &= lhs != rhs
+        rows.append((entry, cells, lhs, rhs))
+    if as_json:
+        models = [
+            {
+                "model": model_to_json(e.model),
+                "refutes": e.tag,
+                "axioms": cells,
+                "refutation": str(e.refutation),
+                "lhs": lhs,
+                "rhs": rhs,
+                "note": e.note,
+            }
+            for e, cells, lhs, rhs in rows
+        ]
+        return json.dumps({"models": models, "pass": all_ok}, sort_keys=True) + "\n"
+    width = max(len(e.model.name) for e, _, _, _ in rows)
+    out = [" ".join([f"{'model':<{width}}"] + [f"{ax.tag:>4}" for ax in axioms])]
+    for e, cells, _, _ in rows:
+        marks = [f"{'ok' if cells[ax.tag] else 'no':>4}" for ax in axioms]
+        out.append(" ".join([f"{e.model.name:<{width}}"] + marks))
+    out.append("")
+    for e, _, lhs, rhs in rows:
+        word = "!=" if lhs != rhs else "=="
+        out.append(f"{e.model.name}: refutes {e.tag}: {e.refutation}  [{lhs} {word} {rhs}]")
+        if e.note:
+            out.append(f"  note: {e.note}")
+    out += ["", f"result: {'PASS' if all_ok else 'FAIL'}"]
+    return "\n".join(out) + "\n"
+
+
+def test_models_check_output_is_unchanged(capsys):
+    assert run(capsys, "models", "check") == (0, reference_models_check(False), "")
+    assert run(capsys, "models", "check", "--json") == (0, reference_models_check(True), "")
+
+
 def test_fuzz_is_deterministic(capsys):
     first = run(capsys, "fuzz", "--count", "25", "--seed", "9")
     second = run(capsys, "fuzz", "--count", "25", "--seed", "9")
@@ -186,6 +236,36 @@ def test_malformed_tree_input_is_a_parse_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (65, "")
     assert err.startswith("error: ParseError: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eq", "é", "a"], 2),
+        (["eq", "a", "b && é", "--engine", "cp"], 2),
+        (["se", "é && a"], 65),
+        (["nf", "$é"], 65),
+    ],
+)
+def test_names_outside_the_term_rule_are_parse_errors(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ParseError: invalid ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["a &&", "a"],
+        ["a", "$x"],
+        ["(a || b) && (a || b) && (a || b)", "a", "--cap", "9"],
+        ["!" * 5000 + "a", "a"],
+    ],
+)
+def test_eq_exits_2_on_every_error(capsys, argv):
+    code, out, err = run(capsys, "eq", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 _SELECTOR = {"cd": (cd, "ccd"), "dd": (dd, "cdd"), "tsd": (tsd, "ctsd")}

@@ -1,21 +1,28 @@
+from random import Random
+
 import pytest
 
 from sclkit import (
     Equation,
     FiniteModel,
+    FreeModelCheck,
     ModeViolation,
     UnboundVariable,
     UninterpretedAtom,
     check_independence,
     eval_in_model,
+    eval_tree,
+    format_tree,
     independence_suite,
     model_from_json,
     model_to_json,
     parse,
+    substitute,
     valid_in_free_model,
     validates,
 )
 from sclkit.axioms import eqfscl_axioms, eqfscl_minus
+from sclkit.generate import random_scl_term, random_substitution
 
 _AX = {e.tag: e for e in eqfscl_axioms()}
 
@@ -142,3 +149,83 @@ def test_valid_in_free_model():
     # reproducible: the same seed finds the same witness
     again = valid_in_free_model(swap, samples=120, seed=51)
     assert again.witness == result.witness
+
+
+# ``random_substitution`` as it was, building each draw's tree to read its
+# size, and ``valid_in_free_model`` on top of it, comparing trees by text:
+# the oracles for the arithmetic size check.
+
+
+def reference_random_substitution(rng, variables, atoms=("a", "b", "c"), max_depth=6, max_tree=120):
+    out = {}
+    for v in sorted(variables):
+        term = random_scl_term(rng, atoms, max_depth)
+        if max_tree is not None:
+            while eval_tree(term, cap=None).size > max_tree:
+                term = random_scl_term(rng, atoms, max_depth)
+        out[v] = term
+    return out
+
+
+def reference_valid_in_free_model(eq, samples, seed):
+    rng = Random(seed)
+    names = sorted(eq.variables)
+    for i in range(samples):
+        subst = reference_random_substitution(rng, names)
+        lhs = format_tree(eval_tree(substitute(eq.lhs, subst)))
+        if lhs != format_tree(eval_tree(substitute(eq.rhs, subst))):
+            return FreeModelCheck(False, subst, i + 1)
+    return FreeModelCheck(True, None, samples)
+
+
+def test_random_substitution_matches_the_tree_built_reference():
+    for seed in range(200):
+        rng, ref = Random(seed), Random(seed)
+        for max_tree in (120, 9, None):
+            got = random_substitution(rng, ["z", "x", "y"], max_tree=max_tree)
+            assert got == reference_random_substitution(ref, ["z", "x", "y"], max_tree=max_tree)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_valid_in_free_model_matches_the_reference():
+    laws = [_AX["F5"], _AX["F8"], _AX["F10"]] + [
+        Equation(parse(lhs, "open"), parse(rhs, "open"))
+        for lhs, rhs in [
+            ("$x && $y", "$y && $x"),
+            ("$x || $y", "$y || $x"),
+            ("$x && ($y || $z)", "$x && $y || $x && $z"),
+        ]
+    ]
+    witnesses = 0
+    for seed in range(40):
+        for eq in laws:
+            got = valid_in_free_model(eq, samples=25, seed=seed)
+            assert got == reference_valid_in_free_model(eq, 25, seed)
+            witnesses += got.witness is not None
+    assert witnesses >= 100
+
+
+def reference_check_independence():
+    """``check_independence`` as it was before the rows were shared with
+    ``scl models check``."""
+    lines = []
+    ok = True
+    for entry in independence_suite():
+        for ax in eqfscl_minus():
+            result = validates(entry.model, ax)
+            expected = ax.tag != entry.tag
+            if result.valid != expected:
+                ok = False
+            status = "ok" if result.valid == expected else "UNEXPECTED"
+            word = "valid" if result.valid else "refuted"
+            lines.append(f"{entry.model.name} {ax.tag}: {word} ({status})")
+        lhs = eval_in_model(entry.model, entry.refutation.lhs)
+        rhs = eval_in_model(entry.model, entry.refutation.rhs)
+        if lhs == rhs:
+            ok = False
+        lines.append(f"{entry.model.name} refutation {entry.refutation}: {lhs} != {rhs}")
+    return ok, lines
+
+
+def test_check_independence_report_is_unchanged():
+    assert check_independence() == reference_check_independence()

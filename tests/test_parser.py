@@ -62,6 +62,17 @@ def test_syntax_errors(bad):
         parse(bad, "open")
 
 
+@pytest.mark.parametrize(
+    "bad, position",
+    [("é", 0), ("é && a", 0), ("a && bé", 5), ("ab_é", 0), ("$é", 0), ("b || $xé", 5), ("$T", 0)],
+)
+def test_names_follow_the_term_rule(bad, position):
+    # the tokenizer applies the atom and variable name rule of ``terms``
+    with pytest.raises(ParseError) as exc:
+        parse(bad, "open")
+    assert exc.value.position == position
+
+
 def test_mode_restrictions():
     with pytest.raises(ModeViolation):
         parse("a <| b |> c", "scl")
@@ -151,5 +162,29 @@ def test_json_field_names():
 def test_json_mode_enforcement():
     with pytest.raises(ModeViolation):
         term_from_json(term_to_json(Cond(A, B, C)), "scl")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
         term_from_json({"kind": "nope"})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"kind": "atom"},
+        {"kind": "var"},
+        {"kind": "not"},
+        {"kind": "and", "l": {"kind": "true"}},
+        {"kind": "cond", "then": {"kind": "true"}, "if": {"kind": "true"}},
+        {"kind": "atom", "name": 5},
+        {"kind": "atom", "name": "é"},
+        {"kind": "atom", "name": "T"},
+        {"kind": "var", "name": "_x"},
+        {"kind": ["and"]},
+        {"kind": "or", "l": {"kind": "true"}, "r": [1]},
+        {},
+        [1],
+        "a",
+    ],
+)
+def test_term_from_json_errors(bad):
+    with pytest.raises(ParseError):
+        term_from_json(bad)
