@@ -2,10 +2,16 @@
 
 Basic forms are conditional terms of the shape ``T | F | p <| a |> q`` with
 basic branches; they are in structural bijection with evaluation trees.
-``basic_form`` computes a derivably-equal basic form by the compose
-recursion on the guard; ``basic_of(eval_tree(p))`` is kept as an
-independent route to the same result.  ``scl_to_cp`` eliminates the
-short-circuit connectives in favour of the conditional.
+``basic_form`` computes one by continuation passing, as ``eval_tree``
+builds trees: a term is read with the basic forms to continue into where
+it ends true and where it ends false, and a conditional reads its guard
+with its two branches' results as those continuations.  Terms are
+interned, so each distinct (term, continuation, continuation) triple is
+built once and the object graph stays linear in the input.
+``basic_of(eval_tree(p))`` is kept as an independent route to the same
+result.  ``scl_to_cp`` eliminates the short-circuit connectives in favour
+of the conditional.  Every function here uses an explicit stack and visits
+each distinct object once.
 """
 
 from __future__ import annotations
@@ -24,80 +30,150 @@ from .terms import (
     Or,
     Term,
     Var,
+    postorder,
 )
-from .trees import DEFAULT_NODE_CAP, Leaf, Node, Tree
+from .trees import DEFAULT_NODE_CAP, Leaf, Node, Tree, _continued
+
+
+def _basic_children(t: Term) -> tuple[Term, ...]:
+    # a node that is not a conditional over an atom is rejected on sight
+    return (t.then, t.orelse) if isinstance(t, Cond) and isinstance(t.guard, Atom) else ()
 
 
 def is_basic_form(t: Term) -> bool:
     """True iff ``t`` is T, F, or a conditional over an atom with basic branches."""
-    match t:
-        case Const(_):
-            return True
-        case Cond(a, Atom(_), b):
-            return is_basic_form(a) and is_basic_form(b)
-        case _:
-            return False
+    return all(
+        isinstance(s, Const) or isinstance(s, Cond) and isinstance(s.guard, Atom)
+        for s in postorder(t, _basic_children)
+    )
 
 
 def tree_of(t: Term) -> Tree:
     """The evaluation tree a basic form denotes (a structural re-labelling)."""
-    match t:
-        case Const(v):
-            return Leaf.TRUE if v else Leaf.FALSE
-        case Cond(a, Atom(name), b):
-            return Node(name, tree_of(a), tree_of(b))
-        case _:
-            raise ModeViolation(f"not a basic form: {t}")
+    done = {}
+    for s in postorder(t, _basic_children):
+        match s:
+            case Const(v):
+                done[s] = Leaf.TRUE if v else Leaf.FALSE
+            case Cond(a, Atom(name), b):
+                done[s] = Node(name, done[a], done[b])
+            case _:
+                raise ModeViolation(f"not a basic form: {s}")
+    return done[t]
 
 
 def basic_of(x: Tree) -> Term:
     """The basic form denoting a given evaluation tree (inverse of tree_of)."""
-    if x is Leaf.TRUE:
-        return TRUE
-    if x is Leaf.FALSE:
-        return FALSE
-    if x is Leaf.HOLE:
+    if x.has_hole:
         raise ModeViolation("hole leaves have no basic form")
-    return Cond(basic_of(x.left), Atom(x.atom), basic_of(x.right))
+    done = {Leaf.TRUE: TRUE, Leaf.FALSE: FALSE}
+    stack = [x]
+    while stack:
+        s = stack[-1]
+        if s in done:
+            stack.pop()
+        elif (a := done.get(s.left)) is None or (b := done.get(s.right)) is None:
+            stack += (s.right, s.left)
+        else:
+            done[stack.pop()] = Cond(a, Atom(s.atom), b)
+    return done[x]
 
 
 def basic_form(t: Term, cap: int | None = DEFAULT_NODE_CAP) -> Term:
     """A basic form equal to the closed conditional term ``t``.
 
-    Computed by recursion on the guard of each conditional: a constant
-    guard selects a branch, and a composite guard distributes the branches
-    over its own two branches.  The result's tree equals ``eval_tree(t)``.
+    A constant selects a continuation, an atom becomes a conditional over
+    its two continuations, and ``x <| y |> z`` reads ``y`` with the forms
+    of ``x`` and ``z`` as continuations.  The result's tree equals
+    ``eval_tree(t)``.  ``cap`` bounds the node count of the basic form of
+    every conditional whose guard's form is not a constant, checked by
+    arithmetic before anything is built.
     """
+    _check(t, cap)
+    return _build(t, TRUE, FALSE)
+
+
+def _cond_children(t: Term) -> tuple[Term, ...]:
+    return (t.then, t.guard, t.orelse) if isinstance(t, Cond) else ()
+
+
+# (node count, T-leaves, F-leaves) of the basic form of T, F and an atom
+_TRUE_SHAPE, _FALSE_SHAPE, _ATOM_SHAPE = (1, 1, 0), (1, 0, 1), (4, 1, 1)
+
+
+def _check(t: Term, cap: int | None) -> None:
+    """Raise what composing basic forms bottom-up would raise, in its order.
+
+    That recursion took the forms of the branch, the guard and the other
+    branch, then put the branches' forms at the guard's T- and F-leaves,
+    failing if the result (a conditional unless the guard's form was
+    constant) had more than ``cap`` nodes.  The shapes are computed
+    instead of the forms.
+    """
+    shapes = {}
+    for s in postorder(t, _cond_children):
+        match s:
+            case Const(v):
+                shapes[s] = _TRUE_SHAPE if v else _FALSE_SHAPE
+            case Atom(_):
+                shapes[s] = _ATOM_SHAPE
+            case Cond(a, g, b):
+                if cap is not None:
+                    guard = shapes[g]
+                    shapes[s] = shape = _continued(guard, shapes[a], shapes[b])
+                    if guard[0] > 1 and shape[0] > cap:
+                        raise TreeTooLarge(f"basic form exceeds the node cap of {cap}")
+            case Var(name):
+                raise NonClosedTerm(f"cannot take the basic form of open term: ${name}")
+            case Not(_) | And(_, _) | Or(_, _) | FullAnd(_, _) | FullOr(_, _):
+                raise ModeViolation(
+                    f"{type(s).__name__} is not a conditional node; translate first"
+                )
+            case _:  # pragma: no cover
+                raise TypeError(f"not a term: {s!r}")
+
+
+def _build(t: Term, k_true: Term, k_false: Term) -> Term:
+    """The basic form of ``t`` with ``k_true``/``k_false`` at its T/F-leaves,
+    for ``t`` over constants, atoms and conditionals, without recursion."""
+    done = {}
+    stack = [(t, k_true, k_false)]
+    while stack:
+        key = stack[-1]
+        s, kt, kf = key
+        match s:
+            case Const(v):
+                done[key] = kt if v else kf
+            case Atom(_):
+                done[key] = Cond(kt, s, kf)
+            case Cond(a, g, b):
+                if (x := done.get(then := (a, kt, kf))) is None:
+                    stack.append(then)
+                    continue
+                if (y := done.get(orelse := (b, kt, kf))) is None:
+                    stack.append(orelse)
+                    continue
+                if (z := done.get(guard := (g, x, y))) is None:
+                    stack.append(guard)
+                    continue
+                done[key] = z
+        stack.pop()
+    return done[t, k_true, k_false]
+
+
+def _cp_children(t: Term) -> tuple[Term, ...]:
+    # in the order the translation takes them: && translates its right side first
     match t:
-        case Const(_):
-            return t
-        case Atom(_):
-            return Cond(TRUE, t, FALSE)
-        case Var(name):
-            raise NonClosedTerm(f"cannot take the basic form of open term: ${name}")
+        case Not(p):
+            return (p,)
+        case And(l, r):
+            return (r, l)
+        case Or(l, r):
+            return (l, r)
         case Cond(a, g, b):
-            result = _compose(
-                basic_form(a, cap), basic_form(g, cap), basic_form(b, cap), cap
-            )
-            return result
-        case Not(_) | And(_, _) | Or(_, _) | FullAnd(_, _) | FullOr(_, _):
-            raise ModeViolation(
-                f"{type(t).__name__} is not a conditional node; translate first"
-            )
-        case _:  # pragma: no cover
-            raise TypeError(f"not a term: {t!r}")
-
-
-def _compose(p: Term, q: Term, r: Term, cap: int | None) -> Term:
-    """Basic form of ``p <| q |> r`` for basic ``p``, ``q``, ``r``."""
-    if q == TRUE:
-        return p
-    if q == FALSE:
-        return r
-    result = Cond(_compose(p, q.then, r, cap), q.guard, _compose(p, q.orelse, r, cap))
-    if cap is not None and result.node_count > cap:
-        raise TreeTooLarge(f"basic form exceeds the node cap of {cap}")
-    return result
+            return (a, g, b)
+        case _:
+            return ()
 
 
 def scl_to_cp(t: Term) -> Term:
@@ -106,28 +182,32 @@ def scl_to_cp(t: Term) -> Term:
     Negation becomes ``F <| p |> T``, conjunction ``q <| p |> F``, and
     disjunction ``T <| p |> q``; the evaluation tree is unchanged.
     """
-    match t:
-        case Const(_) | Atom(_):
-            return t
-        case Var(name):
-            raise NonClosedTerm(f"cannot translate open term: ${name}")
-        case Not(p):
-            return Cond(FALSE, scl_to_cp(p), TRUE)
-        case And(l, r):
-            return Cond(scl_to_cp(r), scl_to_cp(l), FALSE)
-        case Or(l, r):
-            return Cond(TRUE, scl_to_cp(l), scl_to_cp(r))
-        case Cond(a, g, b):
-            a2, g2, b2 = scl_to_cp(a), scl_to_cp(g), scl_to_cp(b)
-            return t if a2 is a and g2 is g and b2 is b else Cond(a2, g2, b2)
-        case FullAnd(_, _) | FullOr(_, _):
-            raise ModeViolation(
-                "full-sequential connectives must be expanded before translation"
-            )
-        case _:  # pragma: no cover
-            raise TypeError(f"not a term: {t!r}")
+    done = {}
+    for s in postorder(t, _cp_children):
+        match s:
+            case Const(_) | Atom(_):
+                done[s] = s
+            case Var(name):
+                raise NonClosedTerm(f"cannot translate open term: ${name}")
+            case Not(p):
+                done[s] = Cond(FALSE, done[p], TRUE)
+            case And(l, r):
+                done[s] = Cond(done[r], done[l], FALSE)
+            case Or(l, r):
+                done[s] = Cond(TRUE, done[l], done[r])
+            case Cond(a, g, b):
+                done[s] = Cond(done[a], done[g], done[b])
+            case FullAnd(_, _) | FullOr(_, _):
+                raise ModeViolation(
+                    "full-sequential connectives must be expanded before translation"
+                )
+            case _:  # pragma: no cover
+                raise TypeError(f"not a term: {s!r}")
+    return done[t]
 
 
 def decide_eq_cp(p: Term, q: Term, cap: int | None = DEFAULT_NODE_CAP) -> bool:
-    """Decide tree equality of two closed enriched terms via basic forms."""
-    return basic_form(scl_to_cp(p), cap) == basic_form(scl_to_cp(q), cap)
+    """Decide tree equality of two closed enriched terms via basic forms.
+
+    Terms are interned, so equal basic forms are one object."""
+    return basic_form(scl_to_cp(p), cap) is basic_form(scl_to_cp(q), cap)

@@ -27,6 +27,8 @@ from .terms import (
     Or,
     Term,
     Var,
+    children,
+    postorder,
 )
 from .trees import DEFAULT_NODE_CAP, eval_tree
 
@@ -64,14 +66,14 @@ def classify(t: Term) -> SnfClass:
 
     Every term in normal form is a T-term, an F-term, or a T-*-term at top
     level; the finer *-term categories classify the left/right parts.  The
-    category is cached on the node, so repeated dispatch during
+    category is cached in the term's ``_snf_cat`` slot (terms are interned,
+    so it is computed once per live term), and repeated dispatch during
     normalization stays cheap.
     """
-    cached = getattr(t, "_snf_cat", None)
-    if cached is not None:
-        return cached
-    cat = _classify(t)
-    object.__setattr__(t, "_snf_cat", cat)
+    cat = t._snf_cat
+    if cat is None:
+        cat = _classify(t)
+        object.__setattr__(t, "_snf_cat", cat)
     return cat
 
 
@@ -115,9 +117,39 @@ def _reject(t: Term, expected: str) -> NotInNormalForm:
     return NotInNormalForm(f"expected a {expected}, got {classify(t).label}: {t}")
 
 
+def _scl_children(t: Term) -> tuple[Term, ...]:
+    # other nodes are rejected on sight, before their subterms
+    return children(t) if isinstance(t, (Not, And, Or)) else ()
+
+
 def nf(t: Term, cap: int | None = DEFAULT_NODE_CAP) -> Term:
-    """Normalize a closed short-circuit term, preserving its evaluation tree."""
-    return _nf(t, cap)
+    """Normalize a closed short-circuit term, preserving its evaluation tree.
+
+    Each distinct subterm is normalized once, without recursion, in the
+    order a recursive definition would take, so the first error met is the
+    one raised.  ``cap`` bounds the node count of every compound subterm's
+    normal form.  The helpers share one ``_Helpers`` for the call.
+    """
+    helpers, done = _Helpers(), {}
+    for s in postorder(t, _scl_children):
+        match s:
+            case Const(_):
+                result = s
+            case Atom(_):
+                result = And(TRUE, Or(And(s, TRUE), FALSE))
+            case Var(name):
+                raise NonClosedTerm(f"cannot normalize open term: ${name}")
+            case Not(p):
+                result = _checked(helpers.neg_nf(done[p]), cap)
+            case And(l, r):
+                result = _checked(helpers.and_nf(done[l], done[r]), cap)
+            case Or(l, r):
+                a, b = helpers.neg_nf(done[l]), helpers.neg_nf(done[r])
+                result = _checked(helpers.neg_nf(helpers.and_nf(a, b)), cap)
+            case _:
+                raise ModeViolation(f"cannot normalize {type(s).__name__} nodes")
+        done[s] = result
+    return done[t]
 
 
 def _checked(result: Term, cap: int | None) -> Term:
@@ -126,58 +158,162 @@ def _checked(result: Term, cap: int | None) -> Term:
     return result
 
 
-def _nf(t: Term, cap: int | None) -> Term:
-    match t:
-        case Const(_):
-            return t
-        case Atom(_):
-            return And(TRUE, Or(And(t, TRUE), FALSE))
-        case Var(name):
-            raise NonClosedTerm(f"cannot normalize open term: ${name}")
-        case Not(p):
-            return _checked(neg_nf(_nf(p, cap)), cap)
-        case And(l, r):
-            return _checked(and_nf(_nf(l, cap), _nf(r, cap)), cap)
-        case Or(l, r):
-            a = neg_nf(_nf(l, cap))
-            b = neg_nf(_nf(r, cap))
-            return _checked(neg_nf(and_nf(a, b)), cap)
-        case _:
-            raise ModeViolation(f"cannot normalize {type(t).__name__} nodes")
+class _Helpers:
+    """The negation and conjunction helpers, memoized for one top-level call.
+
+    The helpers call one another and themselves many times on few distinct
+    arguments.  Terms are interned, so a memo keyed by a helper's arguments
+    finds every repeated call; the memos die with the object, and nothing
+    outlives the call that made it.  A memo is read and written inside the
+    helper itself, so a call takes one stack frame, as without the memo.
+    """
+
+    __slots__ = ("negs", "star_negs", "ands", "tterms", "fterms", "tstars")
+
+    def __init__(self):
+        self.negs, self.star_negs, self.ands = {}, {}, {}
+        self.tterms, self.fterms, self.tstars = {}, {}, {}
+
+    def neg_nf(self, t: Term) -> Term:
+        if (result := self.negs.get(t)) is not None:
+            return result
+        match classify(t):
+            case SnfClass.T_TERM if t is TRUE:
+                result = FALSE
+            case SnfClass.T_TERM:
+                # (a && p) || q  ->  (a || ~q) && ~p
+                result = And(Or(t.left.left, self.neg_nf(t.right)), self.neg_nf(t.left.right))
+            case SnfClass.F_TERM if t is FALSE:
+                result = TRUE
+            case SnfClass.F_TERM:
+                # (a || p) && q  ->  (a && ~q) || ~p
+                result = Or(And(t.left.left, self.neg_nf(t.right)), self.neg_nf(t.left.right))
+            case SnfClass.T_STAR_TERM:
+                result = And(t.left, self.neg_star(t.right))
+            case _:
+                raise _reject(t, "term in normal form")
+        self.negs[t] = result
+        return result
+
+    def neg_star(self, t: Term) -> Term:
+        if (result := self.star_negs.get(t)) is not None:
+            return result
+        match classify(t):
+            case SnfClass.L_TERM:
+                head, pt, qf = t.left.left, t.left.right, t.right
+                flipped = Not(head) if isinstance(head, Atom) else head.arg
+                result = Or(And(flipped, self.neg_nf(qf)), self.neg_nf(pt))
+            case SnfClass.C_TERM:
+                result = Or(self.neg_star(t.left), self.neg_star(t.right))
+            case SnfClass.D_TERM:
+                result = And(self.neg_star(t.left), self.neg_star(t.right))
+            case _:
+                raise _reject(t, "*-term")
+        self.star_negs[t] = result
+        return result
+
+    def and_nf(self, p: Term, q: Term) -> Term:
+        if (result := self.ands.get((p, q))) is not None:
+            return result
+        pc, qc = classify(p), classify(q)
+        if not in_normal_form(qc):
+            raise _reject(q, "term in normal form")
+        match pc:
+            case SnfClass.T_TERM if p is TRUE:
+                result = q
+            case SnfClass.T_TERM:
+                a, pt, qt = p.left.left, p.left.right, p.right
+                if qc is SnfClass.T_TERM:
+                    result = Or(And(a, self.and_nf(pt, q)), self.and_nf(qt, q))
+                elif qc is SnfClass.F_TERM:
+                    result = And(Or(a, self.and_nf(qt, q)), self.and_nf(pt, q))
+                else:
+                    result = And(self.and_nf(p, q.left), q.right)
+            case SnfClass.F_TERM:
+                result = p
+            case SnfClass.T_STAR_TERM:
+                if qc is SnfClass.T_TERM:
+                    result = And(p.left, self.and_star_tterm(p.right, q))
+                elif qc is SnfClass.F_TERM:
+                    result = self.and_nf(p.left, self.and_star_fterm(p.right, q))
+                else:
+                    result = And(p.left, self.and_star_tstar(p.right, q))
+            case _:
+                raise _reject(p, "term in normal form")
+        self.ands[p, q] = result
+        return result
+
+    def and_star_tterm(self, s: Term, r: Term) -> Term:
+        if (result := self.tterms.get((s, r))) is not None:
+            return result
+        if classify(r) is not SnfClass.T_TERM:
+            raise _reject(r, "T-term")
+        match classify(s):
+            case SnfClass.L_TERM:
+                # (^a && p) || q  ->  (^a && (p . r)) || q
+                result = Or(And(s.left.left, self.and_nf(s.left.right, r)), s.right)
+            case SnfClass.C_TERM:
+                result = And(s.left, self.and_star_tterm(s.right, r))
+            case SnfClass.D_TERM:
+                result = Or(self.and_star_tterm(s.left, r), self.and_star_tterm(s.right, r))
+            case _:
+                raise _reject(s, "*-term")
+        self.tterms[s, r] = result
+        return result
+
+    def and_star_fterm(self, s: Term, r: Term) -> Term:
+        if (result := self.fterms.get((s, r))) is not None:
+            return result
+        if classify(r) is not SnfClass.F_TERM:
+            raise _reject(r, "F-term")
+        match classify(s):
+            case SnfClass.L_TERM:
+                head, pt, qf = s.left.left, s.left.right, s.right
+                if isinstance(head, Atom):
+                    result = And(Or(head, qf), self.and_nf(pt, r))
+                else:
+                    result = And(Or(head.arg, self.and_nf(pt, r)), qf)
+            case SnfClass.C_TERM:
+                result = self.and_star_fterm(s.left, self.and_star_fterm(s.right, r))
+            case SnfClass.D_TERM:
+                result = self.and_star_fterm(
+                    self.neg_star(self.and_star_tterm(s.left, self.neg_nf(r))),
+                    self.and_star_fterm(s.right, r),
+                )
+            case _:
+                raise _reject(s, "*-term")
+        self.fterms[s, r] = result
+        return result
+
+    def and_star_tstar(self, s: Term, q: Term) -> Term:
+        if (result := self.tstars.get((s, q))) is not None:
+            return result
+        if classify(q) is not SnfClass.T_STAR_TERM:
+            raise _reject(q, "T-*-term")
+        qt, qs = q.left, q.right
+        match classify(qs):
+            case SnfClass.L_TERM | SnfClass.D_TERM:
+                result = And(self.and_star_tterm(s, qt), qs)
+            case SnfClass.C_TERM:
+                result = And(self.and_star_tstar(s, And(qt, qs.left)), qs.right)
+            case _:  # pragma: no cover - T-*-terms always carry a *-term
+                raise _reject(qs, "*-term")
+        self.tstars[s, q] = result
+        return result
+
+
+# The helpers one at a time, each with a fresh memo, so that every defining
+# clause can be tested on its own.
 
 
 def neg_nf(t: Term) -> Term:
     """Negate a term in normal form; T-terms and F-terms trade places."""
-    match classify(t):
-        case SnfClass.T_TERM:
-            if t == TRUE:
-                return FALSE
-            # (a && p) || q  ->  (a || ~q) && ~p
-            return And(Or(t.left.left, neg_nf(t.right)), neg_nf(t.left.right))
-        case SnfClass.F_TERM:
-            if t == FALSE:
-                return TRUE
-            # (a || p) && q  ->  (a && ~q) || ~p
-            return Or(And(t.left.left, neg_nf(t.right)), neg_nf(t.left.right))
-        case SnfClass.T_STAR_TERM:
-            return And(t.left, neg_star(t.right))
-        case _:
-            raise _reject(t, "term in normal form")
+    return _Helpers().neg_nf(t)
 
 
 def neg_star(t: Term) -> Term:
     """Negate a *-term by flipping the literal at the head of each unit."""
-    match classify(t):
-        case SnfClass.L_TERM:
-            head, pt, qf = t.left.left, t.left.right, t.right
-            flipped = Not(head) if isinstance(head, Atom) else head.arg
-            return Or(And(flipped, neg_nf(qf)), neg_nf(pt))
-        case SnfClass.C_TERM:
-            return Or(neg_star(t.left), neg_star(t.right))
-        case SnfClass.D_TERM:
-            return And(neg_star(t.left), neg_star(t.right))
-        case _:
-            raise _reject(t, "*-term")
+    return _Helpers().neg_star(t)
 
 
 def and_nf(p: Term, q: Term) -> Term:
@@ -186,85 +322,28 @@ def and_nf(p: Term, q: Term) -> Term:
     A T-term first argument leaves the second argument's category
     unchanged; an F-term first argument is returned as-is.
     """
-    pc, qc = classify(p), classify(q)
-    if not in_normal_form(qc):
-        raise _reject(q, "term in normal form")
-    match pc:
-        case SnfClass.T_TERM:
-            if p == TRUE:
-                return q
-            a, pt, qt = p.left.left, p.left.right, p.right
-            if qc is SnfClass.T_TERM:
-                return Or(And(a, and_nf(pt, q)), and_nf(qt, q))
-            if qc is SnfClass.F_TERM:
-                return And(Or(a, and_nf(qt, q)), and_nf(pt, q))
-            return And(and_nf(p, q.left), q.right)
-        case SnfClass.F_TERM:
-            return p
-        case SnfClass.T_STAR_TERM:
-            if qc is SnfClass.T_TERM:
-                return And(p.left, and_star_tterm(p.right, q))
-            if qc is SnfClass.F_TERM:
-                return and_nf(p.left, and_star_fterm(p.right, q))
-            return And(p.left, and_star_tstar(p.right, q))
-        case _:
-            raise _reject(p, "term in normal form")
+    return _Helpers().and_nf(p, q)
 
 
 def and_star_tterm(s: Term, r: Term) -> Term:
     """Conjoin a *-term with a T-term; the result is again a *-term."""
-    if classify(r) is not SnfClass.T_TERM:
-        raise _reject(r, "T-term")
-    match classify(s):
-        case SnfClass.L_TERM:
-            # (^a && p) || q  ->  (^a && (p . r)) || q
-            return Or(And(s.left.left, and_nf(s.left.right, r)), s.right)
-        case SnfClass.C_TERM:
-            return And(s.left, and_star_tterm(s.right, r))
-        case SnfClass.D_TERM:
-            return Or(and_star_tterm(s.left, r), and_star_tterm(s.right, r))
-        case _:
-            raise _reject(s, "*-term")
+    return _Helpers().and_star_tterm(s, r)
 
 
 def and_star_fterm(s: Term, r: Term) -> Term:
     """Conjoin a *-term with an F-term; the result is an F-term."""
-    if classify(r) is not SnfClass.F_TERM:
-        raise _reject(r, "F-term")
-    match classify(s):
-        case SnfClass.L_TERM:
-            head, pt, qf = s.left.left, s.left.right, s.right
-            if isinstance(head, Atom):
-                return And(Or(head, qf), and_nf(pt, r))
-            return And(Or(head.arg, and_nf(pt, r)), qf)
-        case SnfClass.C_TERM:
-            return and_star_fterm(s.left, and_star_fterm(s.right, r))
-        case SnfClass.D_TERM:
-            return and_star_fterm(
-                neg_star(and_star_tterm(s.left, neg_nf(r))),
-                and_star_fterm(s.right, r),
-            )
-        case _:
-            raise _reject(s, "*-term")
+    return _Helpers().and_star_fterm(s, r)
 
 
 def and_star_tstar(s: Term, q: Term) -> Term:
     """Conjoin a *-term with a T-*-term; the result is again a *-term."""
-    if classify(q) is not SnfClass.T_STAR_TERM:
-        raise _reject(q, "T-*-term")
-    qt, qs = q.left, q.right
-    match classify(qs):
-        case SnfClass.L_TERM | SnfClass.D_TERM:
-            return And(and_star_tterm(s, qt), qs)
-        case SnfClass.C_TERM:
-            return And(and_star_tstar(s, And(qt, qs.left)), qs.right)
-        case _:  # pragma: no cover - T-*-terms always carry a *-term
-            raise _reject(qs, "*-term")
+    return _Helpers().and_star_tstar(s, q)
 
 
 def or_nf(p: Term, q: Term) -> Term:
     """Disjoin two terms in normal form, via negation of the conjunction."""
-    return neg_nf(and_nf(neg_nf(p), neg_nf(q)))
+    helpers = _Helpers()
+    return helpers.neg_nf(helpers.and_nf(helpers.neg_nf(p), helpers.neg_nf(q)))
 
 
 def decide_eq(
@@ -273,11 +352,12 @@ def decide_eq(
     """Decide whether two closed terms have the same evaluation tree.
 
     Engine ``"tree"`` compares the evaluation trees directly; engine
-    ``"nf"`` compares normal forms structurally.  The two agree on every
-    closed short-circuit pair.
+    ``"nf"`` compares normal forms.  Trees and terms are interned, so either
+    comparison is one identity test.  The two agree on every closed
+    short-circuit pair.
     """
     if engine == "tree":
-        return eval_tree(p, cap) == eval_tree(q, cap)
+        return eval_tree(p, cap) is eval_tree(q, cap)
     if engine == "nf":
-        return nf(p, cap) == nf(q, cap)
+        return nf(p, cap) is nf(q, cap)
     raise ValueError(f"unknown engine: {engine!r}")

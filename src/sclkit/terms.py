@@ -6,14 +6,24 @@ full-sequential connectives &.& and |.| (both arguments always evaluated),
 the ternary conditional ``x <| y |> z`` (guard ``y`` evaluated first), and
 ``$``-prefixed variables for stating equational laws.
 
-All nodes are immutable; operations are pure functions.
+Terms are hash-consed: each constructor returns the one live term of its
+structure, so structurally equal terms are one object, ``==`` and ``hash``
+are identity, and every builder shares subterms.  A term is immutable
+(assigning or deleting a field raises ``AttributeError``; copies and
+pickles give back the interned term) and caches its node count (logical,
+not of the object graph) and, in a slot written once by
+``normalize.classify``, its normal-form category.  ``unique_table`` is the
+one interning primitive; ``trees.Node`` is built on it too.  Operations are
+pure functions.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import ModeViolation, ParseError, UnboundVariable
 
@@ -23,11 +33,83 @@ _RESERVED = frozenset({"T", "F"})
 MODES = ("scl", "cp", "enriched", "open")
 
 
+class _Ref(weakref.ref):  # an entry of a unique table; carries its key
+    __slots__ = ("key",)
+
+
+def unique_table() -> tuple[dict, Callable]:
+    """A new unique table and the function that enters an object into it.
+
+    The table maps a key to a weak reference to the one live object with
+    that key; an entry goes when its object dies, unless a newer object has
+    taken its place.  ``enter(key, obj)`` returns the live object of
+    ``key``, entering ``obj`` if there is none.  It inserts by
+    ``dict.setdefault``, which is atomic under the GIL, so threads that
+    enter one key at once get one object.  Callers look ``key`` up first,
+    and build and enter a new object only on a miss.
+    """
+    table: dict = {}
+
+    def drop(ref: _Ref, remove=_remove_dead_weakref) -> None:
+        remove(table, ref.key)  # only if the entry still holds a dead reference
+
+    def enter(key, obj):
+        new = _Ref(obj, drop)
+        new.key = key
+        while (ref := table.setdefault(key, new)) is not new:
+            other = ref()  # another thread entered this key first
+            if other is not None:
+                return other
+            _remove_dead_weakref(table, key)
+        return obj
+
+    return table, enter
+
+
+REPR_BUDGET = 2_000  # characters of a repr before it is cut with "…"
+
+
+class Interned:
+    """Mixin of hash-consed classes, whose fields ``__match_args__`` names.
+
+    Instances are immutable, copy and pickle as the interned object, and
+    have the dataclass-style repr, rendered without recursion and cut after
+    ``REPR_BUDGET`` characters: the logical structure of a shared object
+    graph can be exponentially larger than the graph.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        out, size, stack = [], 0, [self]
+        while stack and size <= REPR_BUDGET:
+            x = stack.pop()
+            if isinstance(x, Interned):
+                parts = [type(x).__name__ + "("]
+                for name in x.__match_args__:
+                    value = getattr(x, name)
+                    parts += (name + "=", value if isinstance(value, Interned) else repr(value), ", ")
+                parts[-1] = ")"
+                stack += reversed(parts)
+            else:
+                out.append(x)
+                size += len(x)
+        text = "".join(out)
+        return text[:REPR_BUDGET] + "…" if stack or size > REPR_BUDGET else text
+
+
 class Term:
     """Base class for all term nodes."""
 
-    # Leaf nodes count as one node; composite nodes override per instance.
-    node_count = 1
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_term(self)
@@ -43,85 +125,146 @@ def _check_name(name: str, what: str) -> None:
         raise ValueError(f"invalid {what} name: {name!r}")
 
 
-@dataclass(frozen=True)
-class Const(Term):
-    value: bool
+# (class, *fields) -> the one live term of that structure.  Fields that are
+# terms are interned, so the key compares them by identity.
+_table, _enter = unique_table()
+
+
+# A term is built as an instance of its class's fields class, whose slots
+# can be written, and then given its class, which forbids writing them.
+
+
+class _Fields(Term):
+    __slots__ = ("node_count", "_snf_cat", "__weakref__")
+
+
+class _ConstFields(_Fields):
+    __slots__ = ("value",)
+
+
+class _NameFields(_Fields):
+    __slots__ = ("name",)
+
+
+class _NotFields(_Fields):
+    __slots__ = ("arg",)
+
+
+class _BinaryFields(_Fields):
+    __slots__ = ("left", "right")
+
+
+class _CondFields(_Fields):
+    __slots__ = ("then", "guard", "orelse")
+
+
+class Const(_ConstFields, Interned):
+    __slots__ = ()
+    __match_args__ = ("value",)
+
+    def __new__(cls, value: bool) -> Const:
+        key = (cls, value)
+        ref = _table.get(key)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        t = object.__new__(_ConstFields)
+        t.value, t.node_count, t._snf_cat = value, 1, None
+        t.__class__ = cls
+        return _enter(key, t)
 
 
 TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
-class Atom(Term):
-    name: str
+class _Name(_NameFields, Interned):
+    __slots__ = ()
+    __match_args__ = ("name",)
+    _what = ""
 
-    def __post_init__(self):
-        _check_name(self.name, "atom")
-
-
-@dataclass(frozen=True)
-class Var(Term):
-    name: str
-
-    def __post_init__(self):
-        _check_name(self.name, "variable")
-
-
-@dataclass(frozen=True)
-class Not(Term):
-    arg: Term
-
-    def __post_init__(self):
-        object.__setattr__(self, "node_count", 1 + self.arg.node_count)
+    def __new__(cls, name: str) -> _Name:
+        key = (cls, name)
+        ref = _table.get(key)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        _check_name(name, cls._what)
+        t = object.__new__(_NameFields)
+        t.name, t.node_count, t._snf_cat = name, 1, None
+        t.__class__ = cls
+        return _enter(key, t)
 
 
-class _Binary(Term):
-    left: Term
-    right: Term
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "node_count", 1 + self.left.node_count + self.right.node_count
-        )
+class Atom(_Name):
+    __slots__ = ()
+    _what = "atom"
 
 
-@dataclass(frozen=True)
+class Var(_Name):
+    __slots__ = ()
+    _what = "variable"
+
+
+class Not(_NotFields, Interned):
+    __slots__ = ()
+    __match_args__ = ("arg",)
+
+    def __new__(cls, arg: Term) -> Not:
+        key = (cls, arg)
+        ref = _table.get(key)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        t = object.__new__(_NotFields)
+        t.arg, t.node_count, t._snf_cat = arg, 1 + arg.node_count, None
+        t.__class__ = cls
+        return _enter(key, t)
+
+
+class _Binary(_BinaryFields, Interned):
+    __slots__ = ()
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Term, right: Term) -> _Binary:
+        key = (cls, left, right)
+        ref = _table.get(key)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        t = object.__new__(_BinaryFields)
+        t.left, t.right, t._snf_cat = left, right, None
+        t.node_count = 1 + left.node_count + right.node_count
+        t.__class__ = cls
+        return _enter(key, t)
+
+
 class And(_Binary):
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Or(_Binary):
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FullAnd(_Binary):
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class FullOr(_Binary):
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cond(Term):
-    then: Term
-    guard: Term
-    orelse: Term
+class Cond(_CondFields, Interned):
+    __slots__ = ()
+    __match_args__ = ("then", "guard", "orelse")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "node_count",
-            1 + self.then.node_count + self.guard.node_count + self.orelse.node_count,
-        )
+    def __new__(cls, then: Term, guard: Term, orelse: Term) -> Cond:
+        key = (cls, then, guard, orelse)
+        ref = _table.get(key)
+        if ref is not None and (t := ref()) is not None:
+            return t
+        t = object.__new__(_CondFields)
+        t.then, t.guard, t.orelse, t._snf_cat = then, guard, orelse, None
+        t.node_count = 1 + then.node_count + guard.node_count + orelse.node_count
+        t.__class__ = cls
+        return _enter(key, t)
 
 
 def children(t: Term) -> tuple[Term, ...]:
@@ -143,6 +286,28 @@ def subterms(t: Term) -> Iterator[Term]:
         s = stack.pop()
         yield s
         stack.extend(reversed(children(s)))
+
+
+def postorder(t: Term, kids: Callable[[Term], tuple[Term, ...]] = children) -> Iterator[Term]:
+    """Yield each distinct subterm of ``t`` once, after the subterms
+    ``kids`` gives for it, which are taken in that order; without recursion.
+
+    A subterm is reached only once the ones before it are done, so a fold
+    over the yielded terms meets errors in the order a recursive fold
+    would.  A node rejected on sight should have no ``kids``.
+    """
+    done = set()
+    stack = [(t, iter(kids(t)))]
+    while stack:
+        s, todo = stack[-1]
+        for k in todo:
+            if k not in done:
+                stack.append((k, iter(kids(k))))
+                break
+        else:
+            stack.pop()
+            done.add(s)
+            yield s
 
 
 def variables(t: Term) -> frozenset[str]:

@@ -4,25 +4,24 @@ A tree is a finite binary tree over atoms whose leaves are T or F; the left
 branch of a node is taken when its atom evaluates to true.  Trees used as
 decomposition contexts may additionally carry hole leaves (``^``).
 
-Nodes are hash-consed: ``Node(atom, left, right)`` returns the one live
-node of that structure, so equal trees are one object, ``==`` is identity,
-and every builder shares subtrees.  The unique table holds weak references
-(it does not outlive the trees) and is filled by ``dict.setdefault``, so
-threads that build one structure at once get one node.  Nodes cache size
-(logical, not of the object graph), depth, leaf counts and leaf flags.
+Nodes are hash-consed, as terms are: ``Node(atom, left, right)`` returns
+the one live node of that structure, so equal trees are one object, ``==``
+is identity, and every builder shares subtrees.  The unique table
+(``terms.unique_table``) holds weak references (it does not outlive the
+trees) and is filled by ``dict.setdefault``, so threads that build one
+structure at once get one node.  Nodes cache size (logical, not of the
+object graph), depth, leaf counts and leaf flags.
 """
 
 from __future__ import annotations
 
 import re
-import weakref
-from _weakref import _remove_dead_weakref
 from enum import Enum
 from typing import Iterator, NamedTuple
 
 from .errors import ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
 from .terms import And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
-from .terms import _is_name
+from .terms import Interned, _is_name, unique_table
 
 DEFAULT_NODE_CAP = 1_000_000
 
@@ -52,18 +51,9 @@ class Leaf(Tree, Enum):
     __hash__ = object.__hash__  # by identity, in C; Enum's hash runs Python
 
 
-class _Ref(weakref.ref):  # carries its table key, for _drop
-    __slots__ = ("key",)
-
-
-# (atom, left, right) -> _Ref to the one live node of that structure, whose
-# entry goes when it dies.  Children are interned, so identity compares them.
-_table: dict[tuple[str, Tree, Tree], _Ref] = {}
-
-
-def _drop(ref: _Ref, remove=_remove_dead_weakref, table=_table) -> None:
-    # The entry may already hold a newer node of the same structure.
-    remove(table, ref.key)
+# (atom, left, right) -> the one live node of that structure.  Children are
+# interned, so the key compares them by identity.
+_table, _enter = unique_table()
 
 
 class _Fields(Tree):  # the slots of Node, writable while a node is made
@@ -71,10 +61,11 @@ class _Fields(Tree):  # the slots of Node, writable while a node is made
     __slots__ += ("has_true", "has_false", "has_hole", "__weakref__")
 
 
-class Node(_Fields):
+class Node(_Fields, Interned):
     """An interned, immutable tree node: the one live node of its structure."""
 
     __slots__ = ()
+    __match_args__ = ("atom", "left", "right")
 
     def __new__(cls, atom: str, left: Tree, right: Tree) -> Node:
         key = (atom, left, right)
@@ -91,25 +82,7 @@ class Node(_Fields):
         node.has_false = left.has_false or right.has_false
         node.has_hole = left.has_hole or right.has_hole
         node.__class__ = Node  # frozen from here on
-        new = _Ref(node, _drop)
-        new.key = key
-        while (ref := _table.setdefault(key, new)) is not new:
-            other = ref()  # another thread interned this structure first
-            if other is not None:
-                return other
-            _remove_dead_weakref(_table, key)
-        return node
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return Node, (self.atom, self.left, self.right)
-
-    def __repr__(self) -> str:
-        return f"Node(atom={self.atom!r}, left={self.left!r}, right={self.right!r})"
+        return _enter(key, node)
 
 
 class LeafProfile(NamedTuple):

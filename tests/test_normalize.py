@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,10 +7,16 @@ from sclkit import (
     FALSE,
     TRUE,
     And,
+    Atom,
+    Const,
     ModeViolation,
+    NonClosedTerm,
+    Not,
     NotInNormalForm,
     Or,
     SnfClass,
+    TreeTooLarge,
+    Var,
     and_nf,
     and_star_fterm,
     and_star_tstar,
@@ -30,10 +37,14 @@ from sclkit.generate import (
     random_fterm,
     random_lterm,
     random_scl_term,
+    random_snf_term,
     random_star_term,
     random_substitution,
+    random_term,
     random_tterm,
 )
+from sclkit.normalize import in_normal_form
+from sclkit.terms import postorder
 
 
 def test_classify_examples():
@@ -200,3 +211,227 @@ def test_engines_agree():
         assert decide_eq(p, q, "tree") == decide_eq(p, q, "nf")
     with pytest.raises(ValueError):
         decide_eq(parse("a"), parse("a"), "magic")
+
+
+# The normalization helpers as they were before they were memoized: plain
+# recursion that computes every repeated call again.  Kept as an oracle.
+
+
+def _reference_reject(t, expected):
+    return NotInNormalForm(f"expected a {expected}, got {classify(t).label}: {t}")
+
+
+def reference_nf(t, cap):
+    def checked(result):
+        if cap is not None and result.node_count > cap:
+            raise TreeTooLarge(f"normal form exceeds the node cap of {cap}")
+        return result
+
+    match t:
+        case Const(_):
+            return t
+        case Atom(_):
+            return And(TRUE, Or(And(t, TRUE), FALSE))
+        case Var(name):
+            raise NonClosedTerm(f"cannot normalize open term: ${name}")
+        case Not(p):
+            return checked(reference_neg_nf(reference_nf(p, cap)))
+        case And(l, r):
+            return checked(reference_and_nf(reference_nf(l, cap), reference_nf(r, cap)))
+        case Or(l, r):
+            a = reference_neg_nf(reference_nf(l, cap))
+            b = reference_neg_nf(reference_nf(r, cap))
+            return checked(reference_neg_nf(reference_and_nf(a, b)))
+        case _:
+            raise ModeViolation(f"cannot normalize {type(t).__name__} nodes")
+
+
+def reference_neg_nf(t):
+    match classify(t):
+        case SnfClass.T_TERM:
+            if t == TRUE:
+                return FALSE
+            return And(Or(t.left.left, reference_neg_nf(t.right)), reference_neg_nf(t.left.right))
+        case SnfClass.F_TERM:
+            if t == FALSE:
+                return TRUE
+            return Or(And(t.left.left, reference_neg_nf(t.right)), reference_neg_nf(t.left.right))
+        case SnfClass.T_STAR_TERM:
+            return And(t.left, reference_neg_star(t.right))
+        case _:
+            raise _reference_reject(t, "term in normal form")
+
+
+def reference_neg_star(t):
+    match classify(t):
+        case SnfClass.L_TERM:
+            head, pt, qf = t.left.left, t.left.right, t.right
+            flipped = Not(head) if isinstance(head, Atom) else head.arg
+            return Or(And(flipped, reference_neg_nf(qf)), reference_neg_nf(pt))
+        case SnfClass.C_TERM:
+            return Or(reference_neg_star(t.left), reference_neg_star(t.right))
+        case SnfClass.D_TERM:
+            return And(reference_neg_star(t.left), reference_neg_star(t.right))
+        case _:
+            raise _reference_reject(t, "*-term")
+
+
+def reference_and_nf(p, q):
+    pc, qc = classify(p), classify(q)
+    if not in_normal_form(qc):
+        raise _reference_reject(q, "term in normal form")
+    match pc:
+        case SnfClass.T_TERM:
+            if p == TRUE:
+                return q
+            a, pt, qt = p.left.left, p.left.right, p.right
+            if qc is SnfClass.T_TERM:
+                return Or(And(a, reference_and_nf(pt, q)), reference_and_nf(qt, q))
+            if qc is SnfClass.F_TERM:
+                return And(Or(a, reference_and_nf(qt, q)), reference_and_nf(pt, q))
+            return And(reference_and_nf(p, q.left), q.right)
+        case SnfClass.F_TERM:
+            return p
+        case SnfClass.T_STAR_TERM:
+            if qc is SnfClass.T_TERM:
+                return And(p.left, reference_and_star_tterm(p.right, q))
+            if qc is SnfClass.F_TERM:
+                return reference_and_nf(p.left, reference_and_star_fterm(p.right, q))
+            return And(p.left, reference_and_star_tstar(p.right, q))
+        case _:
+            raise _reference_reject(p, "term in normal form")
+
+
+def reference_and_star_tterm(s, r):
+    if classify(r) is not SnfClass.T_TERM:
+        raise _reference_reject(r, "T-term")
+    match classify(s):
+        case SnfClass.L_TERM:
+            return Or(And(s.left.left, reference_and_nf(s.left.right, r)), s.right)
+        case SnfClass.C_TERM:
+            return And(s.left, reference_and_star_tterm(s.right, r))
+        case SnfClass.D_TERM:
+            return Or(reference_and_star_tterm(s.left, r), reference_and_star_tterm(s.right, r))
+        case _:
+            raise _reference_reject(s, "*-term")
+
+
+def reference_and_star_fterm(s, r):
+    if classify(r) is not SnfClass.F_TERM:
+        raise _reference_reject(r, "F-term")
+    match classify(s):
+        case SnfClass.L_TERM:
+            head, pt, qf = s.left.left, s.left.right, s.right
+            if isinstance(head, Atom):
+                return And(Or(head, qf), reference_and_nf(pt, r))
+            return And(Or(head.arg, reference_and_nf(pt, r)), qf)
+        case SnfClass.C_TERM:
+            return reference_and_star_fterm(s.left, reference_and_star_fterm(s.right, r))
+        case SnfClass.D_TERM:
+            return reference_and_star_fterm(
+                reference_neg_star(reference_and_star_tterm(s.left, reference_neg_nf(r))),
+                reference_and_star_fterm(s.right, r),
+            )
+        case _:
+            raise _reference_reject(s, "*-term")
+
+
+def reference_and_star_tstar(s, q):
+    if classify(q) is not SnfClass.T_STAR_TERM:
+        raise _reference_reject(q, "T-*-term")
+    qt, qs = q.left, q.right
+    match classify(qs):
+        case SnfClass.L_TERM | SnfClass.D_TERM:
+            return And(reference_and_star_tterm(s, qt), qs)
+        case SnfClass.C_TERM:
+            return And(reference_and_star_tstar(s, And(qt, qs.left)), qs.right)
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+
+
+CAPS = (None, 0, 1, 2, 3, 10, 100)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_nf_matches_the_unmemoized_reference(seed):
+    rng = random.Random(seed)
+    terms = [random_scl_term(rng, max_depth=rng.randint(1, 7)) for _ in range(300)]
+    # open terms and other node kinds, for the errors and their order
+    terms += [random_term(rng, "ab", 4, mode, ("x", "y")) for mode in ("open", "enriched") for _ in range(60)]
+    raised = 0
+    for t in terms:
+        for cap in CAPS:
+            expected = outcome(reference_nf, t, cap)
+            assert outcome(nf, t, cap) == expected
+            raised += isinstance(expected, tuple)
+    assert raised > 500  # caps and bad nodes do fail some calls
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_helpers_match_the_unmemoized_reference(seed):
+    rng = random.Random(seed)
+    draws = [random_snf_term(rng, budget=4, max_depth=3) for _ in range(40)]
+    draws += [random_star_term(rng, budget=rng.randint(1, 4)) for _ in range(40)]
+    draws += [random_tterm(rng, max_depth=3) for _ in range(15)] + [random_fterm(rng, max_depth=3) for _ in range(15)]
+    draws += [random_lterm(rng) for _ in range(10)] + [parse("a"), parse("!a")]
+    unary = [(neg_nf, reference_neg_nf), (neg_star, reference_neg_star)]
+    binary = [
+        (and_nf, reference_and_nf),
+        (and_star_tterm, reference_and_star_tterm),
+        (and_star_fterm, reference_and_star_fterm),
+        (and_star_tstar, reference_and_star_tstar),
+    ]
+    for p in draws:
+        for fn, reference in unary:
+            assert outcome(fn, p) == outcome(reference, p)
+        for q in rng.sample(draws, 25):
+            for fn, reference in binary:
+                assert outcome(fn, p, q) == outcome(reference, p, q)
+            assert outcome(or_nf, p, q) == outcome(
+                lambda p, q: reference_neg_nf(reference_and_nf(reference_neg_nf(p), reference_neg_nf(q))), p, q
+            )
+
+
+def test_nf_is_linear_in_distinct_subterms():
+    # each level holds the one below twice: the logical size of the term and
+    # of its normal form doubles per level, the object graphs grow by a
+    # constant; every helper has to find its repeated calls in its memo
+    t = parse("c")
+    for i in range(30):
+        t = Or(And(t, parse("a")), Not(t)) if i % 2 else And(Or(t, parse("b")), t)
+    start = time.perf_counter()
+    n = nf(t, cap=None)
+    assert time.perf_counter() - start < 0.5
+    assert n.node_count > 2**30 and len(set(postorder(n))) < 500
+    assert classify(n) is SnfClass.T_STAR_TERM
+    with pytest.raises(TreeTooLarge):
+        nf(t)
+
+
+def shared_pieces(levels):
+    """A T-term, an F-term and a *-term, each holding the one of the level
+    below twice: the logical size doubles per level, the object graph grows
+    by a constant."""
+    a = parse("a")
+    t, f, star = TRUE, FALSE, parse("(a && T) || F")
+    for i in range(levels):
+        t, f = Or(And(a, t), t), And(Or(a, f), f)
+        star = Or(star, star) if i % 2 == 0 else And(star, star)
+    return t, f, star
+
+
+def test_helpers_find_repeated_calls_in_their_memos():
+    # without its memo each call below makes about 2**24 calls
+    t, f, star = shared_pieces(24)
+    cases = [(neg_nf, t), (neg_nf, f), (neg_star, star), (and_nf, t, t)]
+    cases += [(and_star_tterm, shared_pieces(48)[2], t)]
+    for fn, *args in cases:
+        start = time.perf_counter()
+        fn(*args)
+        assert time.perf_counter() - start < 0.5, fn.__name__
