@@ -32,7 +32,7 @@ from .terms import (
     Var,
     postorder,
 )
-from .trees import DEFAULT_NODE_CAP, Leaf, Node, Tree, _continued
+from .trees import DEFAULT_NODE_CAP, Leaf, Node, Tree, _FALSE_SHAPE, _TRUE_SHAPE, _continued
 
 
 def _basic_children(t: Term) -> tuple[Term, ...]:
@@ -97,35 +97,35 @@ def _cond_children(t: Term) -> tuple[Term, ...]:
     return (t.then, t.guard, t.orelse) if isinstance(t, Cond) else ()
 
 
-# (node count, T-leaves, F-leaves) of the basic form of T, F and an atom
-_TRUE_SHAPE, _FALSE_SHAPE, _ATOM_SHAPE = (1, 1, 0), (1, 0, 1), (4, 1, 1)
+# (node count, T-leaves, F-leaves) of T <| a |> F; T and F have the shapes
+# of their trees
+_ATOM_SHAPE = (4, 1, 1)
 
 
 def _check(t: Term, cap: int | None) -> None:
-    """Raise what composing basic forms bottom-up would raise, in its order.
+    """Raise what ``basic_form`` raises, in the order of a bottom-up fold.
 
-    That recursion took the forms of the branch, the guard and the other
-    branch, then put the branches' forms at the guard's T- and F-leaves,
-    failing if the result (a conditional unless the guard's form was
-    constant) had more than ``cap`` nodes.  The shapes are computed
-    instead of the forms.
+    Each conditional's then-branch, guard and else-branch come before it,
+    in that order.  A conditional whose guard's form is not a constant
+    fails if its own form has more than ``cap`` nodes.  Only the shapes of
+    the forms (node count, T-leaves, F-leaves) are computed.
     """
     shapes = {}
     for s in postorder(t, _cond_children):
         match s:
-            case Const(v):
-                shapes[s] = _TRUE_SHAPE if v else _FALSE_SHAPE
-            case Atom(_):
-                shapes[s] = _ATOM_SHAPE
-            case Cond(a, g, b):
+            case Cond():
                 if cap is not None:
-                    guard = shapes[g]
-                    shapes[s] = shape = _continued(guard, shapes[a], shapes[b])
+                    guard = shapes[s.guard]
+                    shapes[s] = shape = _continued(guard, shapes[s.then], shapes[s.orelse])
                     if guard[0] > 1 and shape[0] > cap:
                         raise TreeTooLarge(f"basic form exceeds the node cap of {cap}")
-            case Var(name):
-                raise NonClosedTerm(f"cannot take the basic form of open term: ${name}")
-            case Not(_) | And(_, _) | Or(_, _) | FullAnd(_, _) | FullOr(_, _):
+            case Const():
+                shapes[s] = _TRUE_SHAPE if s.value else _FALSE_SHAPE
+            case Atom():
+                shapes[s] = _ATOM_SHAPE
+            case Var():
+                raise NonClosedTerm(f"cannot take the basic form of open term: ${s.name}")
+            case Not() | And() | Or() | FullAnd() | FullOr():
                 raise ModeViolation(
                     f"{type(s).__name__} is not a conditional node; translate first"
                 )
@@ -135,43 +135,49 @@ def _check(t: Term, cap: int | None) -> None:
 
 def _build(t: Term, k_true: Term, k_false: Term) -> Term:
     """The basic form of ``t`` with ``k_true``/``k_false`` at its T/F-leaves,
-    for ``t`` over constants, atoms and conditionals, without recursion."""
+    for ``t`` over constants, atoms and conditionals, without recursion.
+
+    Constants and atoms are read where they are met; only conditionals go
+    on the stack, and each (conditional, continuation, continuation)
+    triple is built once.
+    """
     done = {}
+
+    def form(s: Term, kt: Term, kf: Term) -> Term | None:  # None: not built yet
+        match s:
+            case Const():
+                return kt if s.value else kf
+            case Atom():
+                return Cond(kt, s, kf)
+        return done.get((s, kt, kf))
+
+    if (result := form(t, k_true, k_false)) is not None:
+        return result
     stack = [(t, k_true, k_false)]
     while stack:
-        key = stack[-1]
-        s, kt, kf = key
-        match s:
-            case Const(v):
-                done[key] = kt if v else kf
-            case Atom(_):
-                done[key] = Cond(kt, s, kf)
-            case Cond(a, g, b):
-                if (x := done.get(then := (a, kt, kf))) is None:
-                    stack.append(then)
-                    continue
-                if (y := done.get(orelse := (b, kt, kf))) is None:
-                    stack.append(orelse)
-                    continue
-                if (z := done.get(guard := (g, x, y))) is None:
-                    stack.append(guard)
-                    continue
-                done[key] = z
-        stack.pop()
+        s, kt, kf = stack[-1]
+        if (x := form(s.then, kt, kf)) is None:
+            stack.append((s.then, kt, kf))
+        elif (y := form(s.orelse, kt, kf)) is None:
+            stack.append((s.orelse, kt, kf))
+        elif (z := form(s.guard, x, y)) is None:
+            stack.append((s.guard, x, y))
+        else:
+            done[stack.pop()] = z
     return done[t, k_true, k_false]
 
 
 def _cp_children(t: Term) -> tuple[Term, ...]:
     # in the order the translation takes them: && translates its right side first
     match t:
-        case Not(p):
-            return (p,)
-        case And(l, r):
-            return (r, l)
-        case Or(l, r):
-            return (l, r)
-        case Cond(a, g, b):
-            return (a, g, b)
+        case Not():
+            return (t.arg,)
+        case And():
+            return (t.right, t.left)
+        case Or():
+            return (t.left, t.right)
+        case Cond():
+            return (t.then, t.guard, t.orelse)
         case _:
             return ()
 
@@ -185,19 +191,19 @@ def scl_to_cp(t: Term) -> Term:
     done = {}
     for s in postorder(t, _cp_children):
         match s:
-            case Const(_) | Atom(_):
+            case Const() | Atom():
                 done[s] = s
-            case Var(name):
-                raise NonClosedTerm(f"cannot translate open term: ${name}")
-            case Not(p):
-                done[s] = Cond(FALSE, done[p], TRUE)
-            case And(l, r):
-                done[s] = Cond(done[r], done[l], FALSE)
-            case Or(l, r):
-                done[s] = Cond(TRUE, done[l], done[r])
-            case Cond(a, g, b):
-                done[s] = Cond(done[a], done[g], done[b])
-            case FullAnd(_, _) | FullOr(_, _):
+            case Var():
+                raise NonClosedTerm(f"cannot translate open term: ${s.name}")
+            case Not():
+                done[s] = Cond(FALSE, done[s.arg], TRUE)
+            case And():
+                done[s] = Cond(done[s.right], done[s.left], FALSE)
+            case Or():
+                done[s] = Cond(TRUE, done[s.left], done[s.right])
+            case Cond():
+                done[s] = Cond(done[s.then], done[s.guard], done[s.orelse])
+            case FullAnd() | FullOr():
                 raise ModeViolation(
                     "full-sequential connectives must be expanded before translation"
                 )

@@ -27,7 +27,6 @@ from .terms import (
     Or,
     Term,
     Var,
-    children,
     postorder,
 )
 from .trees import DEFAULT_NODE_CAP, eval_tree
@@ -118,8 +117,13 @@ def _reject(t: Term, expected: str) -> NotInNormalForm:
 
 
 def _scl_children(t: Term) -> tuple[Term, ...]:
-    # other nodes are rejected on sight, before their subterms
-    return children(t) if isinstance(t, (Not, And, Or)) else ()
+    match t:
+        case Not():
+            return (t.arg,)
+        case And() | Or():
+            return (t.left, t.right)
+        case _:  # other nodes are rejected on sight, before their subterms
+            return ()
 
 
 def nf(t: Term, cap: int | None = DEFAULT_NODE_CAP) -> Term:
@@ -133,18 +137,18 @@ def nf(t: Term, cap: int | None = DEFAULT_NODE_CAP) -> Term:
     helpers, done = _Helpers(), {}
     for s in postorder(t, _scl_children):
         match s:
-            case Const(_):
+            case Const():
                 result = s
-            case Atom(_):
+            case Atom():
                 result = And(TRUE, Or(And(s, TRUE), FALSE))
-            case Var(name):
-                raise NonClosedTerm(f"cannot normalize open term: ${name}")
-            case Not(p):
-                result = _checked(helpers.neg_nf(done[p]), cap)
-            case And(l, r):
-                result = _checked(helpers.and_nf(done[l], done[r]), cap)
-            case Or(l, r):
-                a, b = helpers.neg_nf(done[l]), helpers.neg_nf(done[r])
+            case Var():
+                raise NonClosedTerm(f"cannot normalize open term: ${s.name}")
+            case Not():
+                result = _checked(helpers.neg_nf(done[s.arg]), cap)
+            case And():
+                result = _checked(helpers.and_nf(done[s.left], done[s.right]), cap)
+            case Or():
+                a, b = helpers.neg_nf(done[s.left]), helpers.neg_nf(done[s.right])
                 result = _checked(helpers.neg_nf(helpers.and_nf(a, b)), cap)
             case _:
                 raise ModeViolation(f"cannot normalize {type(s).__name__} nodes")

@@ -96,7 +96,8 @@ class Interned:
                 parts = [type(x).__name__ + "("]
                 for name in x.__match_args__:
                     value = getattr(x, name)
-                    parts += (name + "=", value if isinstance(value, Interned) else repr(value), ", ")
+                    shown = value if isinstance(value, Interned) else repr(value)
+                    parts += (name + "=", shown, ", ")
                 parts[-1] = ")"
                 stack += reversed(parts)
             else:
