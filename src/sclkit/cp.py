@@ -215,5 +215,6 @@ def scl_to_cp(t: Term) -> Term:
 def decide_eq_cp(p: Term, q: Term, cap: int | None = DEFAULT_NODE_CAP) -> bool:
     """Decide tree equality of two closed enriched terms via basic forms.
 
-    Terms are interned, so equal basic forms are one object."""
+    Terms are interned, so equal basic forms are one object.
+    """
     return basic_form(scl_to_cp(p), cap) is basic_form(scl_to_cp(q), cap)
