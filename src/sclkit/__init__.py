@@ -96,12 +96,10 @@ from .terms import (
     Or,
     Term,
     Var,
-    atom_names,
     check_mode,
     dual,
     expand_full,
     format_term,
-    is_closed,
     subterms,
     substitute,
     term_from_json,

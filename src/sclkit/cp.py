@@ -2,16 +2,15 @@
 
 Basic forms are conditional terms of the shape ``T | F | p <| a |> q`` with
 basic branches; they are in structural bijection with evaluation trees.
-``basic_form`` computes one by continuation passing, as ``eval_tree``
-builds trees: a term is read with the basic forms to continue into where
-it ends true and where it ends false, and a conditional reads its guard
-with its two branches' results as those continuations.  Terms are
-interned, so each distinct (term, continuation, continuation) triple is
-built once and the object graph stays linear in the input.
-``basic_of(eval_tree(p))`` is kept as an independent route to the same
-result.  ``scl_to_cp`` eliminates the short-circuit connectives in favour
-of the conditional.  Every function here uses an explicit stack and visits
-each distinct object once.
+``basic_form`` and ``tree_of`` build through ``trees._build``, the
+continuation-passing evaluator behind ``eval_tree``: a term is read with
+the basic forms (or trees) to continue into where it ends true and where
+it ends false, and a conditional reads its guard with its two branches'
+results as those continuations.  Terms are interned, so each distinct
+(term, continuation, continuation) triple is built once and the object
+graph stays linear in the input.  ``scl_to_cp`` eliminates the
+short-circuit connectives in favour of the conditional.  Every function
+here uses an explicit stack and visits each distinct object once.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .terms import (
     Var,
     postorder,
 )
-from .trees import DEFAULT_NODE_CAP, Leaf, Node, Tree, _FALSE_SHAPE, _TRUE_SHAPE, _continued
+from .trees import DEFAULT_NODE_CAP, Leaf, Tree, _FALSE_SHAPE, _TRUE_SHAPE, _build, _continued, _node
 
 
 def _basic_children(t: Term) -> tuple[Term, ...]:
@@ -40,26 +39,23 @@ def _basic_children(t: Term) -> tuple[Term, ...]:
     return (t.then, t.orelse) if isinstance(t, Cond) and isinstance(t.guard, Atom) else ()
 
 
+def _not_basic(t: Term) -> Term | None:
+    """The first node of ``t``, bottom-up, that is not T, F or a conditional
+    over an atom; None if there is none."""
+    nodes = postorder(t, _basic_children)
+    return next((s for s in nodes if not (isinstance(s, Const) or _basic_children(s))), None)
+
+
 def is_basic_form(t: Term) -> bool:
     """True iff ``t`` is T, F, or a conditional over an atom with basic branches."""
-    return all(
-        isinstance(s, Const) or isinstance(s, Cond) and isinstance(s.guard, Atom)
-        for s in postorder(t, _basic_children)
-    )
+    return _not_basic(t) is None
 
 
 def tree_of(t: Term) -> Tree:
     """The evaluation tree a basic form denotes (a structural re-labelling)."""
-    done = {}
-    for s in postorder(t, _basic_children):
-        match s:
-            case Const(v):
-                done[s] = Leaf.TRUE if v else Leaf.FALSE
-            case Cond(a, Atom(name), b):
-                done[s] = Node(name, done[a], done[b])
-            case _:
-                raise ModeViolation(f"not a basic form: {s}")
-    return done[t]
+    if (s := _not_basic(t)) is not None:
+        raise ModeViolation(f"not a basic form: {s}")
+    return _build(t, Leaf.TRUE, Leaf.FALSE, _node)
 
 
 def basic_of(x: Tree) -> Term:
@@ -90,7 +86,7 @@ def basic_form(t: Term, cap: int | None = DEFAULT_NODE_CAP) -> Term:
     arithmetic before anything is built.
     """
     _check(t, cap)
-    return _build(t, TRUE, FALSE)
+    return _build(t, TRUE, FALSE, Cond)
 
 
 def _cond_children(t: Term) -> tuple[Term, ...]:
@@ -131,40 +127,6 @@ def _check(t: Term, cap: int | None) -> None:
                 )
             case _:  # pragma: no cover
                 raise TypeError(f"not a term: {s!r}")
-
-
-def _build(t: Term, k_true: Term, k_false: Term) -> Term:
-    """The basic form of ``t`` with ``k_true``/``k_false`` at its T/F-leaves,
-    for ``t`` over constants, atoms and conditionals, without recursion.
-
-    Constants and atoms are read where they are met; only conditionals go
-    on the stack, and each (conditional, continuation, continuation)
-    triple is built once.
-    """
-    done = {}
-
-    def form(s: Term, kt: Term, kf: Term) -> Term | None:  # None: not built yet
-        match s:
-            case Const():
-                return kt if s.value else kf
-            case Atom():
-                return Cond(kt, s, kf)
-        return done.get((s, kt, kf))
-
-    if (result := form(t, k_true, k_false)) is not None:
-        return result
-    stack = [(t, k_true, k_false)]
-    while stack:
-        s, kt, kf = stack[-1]
-        if (x := form(s.then, kt, kf)) is None:
-            stack.append((s.then, kt, kf))
-        elif (y := form(s.orelse, kt, kf)) is None:
-            stack.append((s.orelse, kt, kf))
-        elif (z := form(s.guard, x, y)) is None:
-            stack.append((s.guard, x, y))
-        else:
-            done[stack.pop()] = z
-    return done[t, k_true, k_false]
 
 
 def _cp_children(t: Term) -> tuple[Term, ...]:

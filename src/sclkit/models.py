@@ -18,7 +18,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .axioms import eqfscl_minus
-from .errors import ModeViolation, UninterpretedAtom, UnboundVariable
+from .errors import ModeViolation, ParseError, UninterpretedAtom, UnboundVariable
 from .generate import random_substitution
 from .terms import (
     FALSE,
@@ -351,19 +351,47 @@ def model_to_json(m: FiniteModel):
     }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v, length: int) -> bool:
+    return isinstance(v, list) and len(v) == length and all(map(_is_int, v))
+
+
 def model_from_json(data) -> FiniteModel:
-    n = data["size"]
+    """Decode the form ``model_to_json`` writes.
+
+    Raises ``ParseError`` on any malformed input: a missing field, a value
+    of the wrong type, a table of the wrong length, or an entry outside the
+    carrier.
+    """
+    if not isinstance(data, dict) or not {"name", "size", "neg", "and", "or"} <= data.keys():
+        raise ParseError(f"not a model object: {data!r}")
+    n, atoms, default = data["size"], data.get("atoms", {}), data.get("default_atom")
+    scalars = (n, data.get("true", 1), data.get("false", 0), 0 if default is None else default)
+    if not (
+        isinstance(data["name"], str)
+        and all(map(_is_int, scalars))
+        and all(_is_int_list(data[key], n**k) for key, k in (("neg", 1), ("and", 2), ("or", 2)))
+        and isinstance(atoms, dict)
+        and all(isinstance(name, str) and _is_int(v) for name, v in atoms.items())
+    ):
+        raise ParseError(f"malformed model object: {data!r}")
     unflatten = lambda flat: tuple(
         tuple(flat[i * n : (i + 1) * n]) for i in range(n)
     )
-    return FiniteModel(
-        name=data["name"],
-        size=n,
-        neg_table=tuple(data["neg"]),
-        and_table=unflatten(data["and"]),
-        or_table=unflatten(data["or"]),
-        true_value=data.get("true", 1),
-        false_value=data.get("false", 0),
-        atom_values=data.get("atoms", {}),
-        default_atom_value=data.get("default_atom"),
-    )
+    try:
+        return FiniteModel(
+            name=data["name"],
+            size=n,
+            neg_table=tuple(data["neg"]),
+            and_table=unflatten(data["and"]),
+            or_table=unflatten(data["or"]),
+            true_value=data.get("true", 1),
+            false_value=data.get("false", 0),
+            atom_values=atoms,
+            default_atom_value=default,
+        )
+    except ValueError as exc:
+        raise ParseError(f"invalid model {data['name']!r}: {exc}") from None

@@ -315,14 +315,6 @@ def variables(t: Term) -> frozenset[str]:
     return frozenset(s.name for s in subterms(t) if isinstance(s, Var))
 
 
-def atom_names(t: Term) -> frozenset[str]:
-    return frozenset(s.name for s in subterms(t) if isinstance(s, Atom))
-
-
-def is_closed(t: Term) -> bool:
-    return not any(isinstance(s, Var) for s in subterms(t))
-
-
 _MODE_NODES: dict[str, tuple[type, ...]] = {
     "scl": (Const, Atom, Not, And, Or, FullAnd, FullOr),
     "cp": (Const, Atom, Cond),

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
-from .terms import And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
+from .terms import FALSE, TRUE, And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
 from .terms import Interned, _is_name, unique_table
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -156,52 +156,60 @@ def eval_tree(term: Term, cap: int | None = DEFAULT_NODE_CAP) -> Tree:
     ``p || q`` continues at the F-leaves; ``x <| y |> z`` continues from
     ``y`` into ``x`` at T-leaves and ``z`` at F-leaves.
 
-    The tree is built by continuation passing: each subterm is evaluated
-    once, with the trees to continue into at its T- and F-leaves, so the
-    object graph has at most one node per atom occurrence and is linear in
-    the term even when the logical tree is exponential.  ``cap`` bounds the
+    The tree is built by continuation passing (``_build``), so the object
+    graph has at most one node per atom occurrence and is linear in the
+    term even when the logical tree is exponential.  ``cap`` bounds the
     logical size of every subterm's tree: ``TreeTooLarge`` is raised when
     one of them is a node larger than ``cap``, which is checked by
     arithmetic before anything is built.
     """
     _shape(term, cap)
-    return _build(term, Leaf.TRUE, Leaf.FALSE)
+    return _build(term, Leaf.TRUE, Leaf.FALSE, _node)
 
 
-_TRUE_SHAPE, _FALSE_SHAPE = (1, 1, 0), (1, 0, 1)
+_TRUE_SHAPE, _FALSE_SHAPE, _ATOM_SHAPE = (1, 1, 0), (1, 0, 1), (3, 1, 1)
 
 
 def _shape(term: Term, cap: int | None) -> tuple[int, int, int]:
     """``(size, T-leaves, F-leaves)`` of the tree of ``term``, by arithmetic.
 
-    Subterms are visited in evaluation order (left before right, the guard
-    before the branches), so the first error met is the one raised.
+    Each distinct subterm is visited once, without recursion, and in
+    evaluation order (left before right, the guard before the branches),
+    so the first error met is the one a recursive fold would raise.
     """
-    match term:
-        case Const(v):
-            return _TRUE_SHAPE if v else _FALSE_SHAPE
-        case Atom(_):
-            shape = (3, 1, 1)
-        case Var(name):
-            raise NonClosedTerm(f"cannot evaluate open term: ${name}")
-        case Not(p):
-            size, t, f = _shape(p, cap)
-            return size, f, t
-        case And(l, r):
-            shape = _continued(_shape(l, cap), _shape(r, cap), _FALSE_SHAPE)
-        case Or(l, r):
-            shape = _continued(_shape(l, cap), _TRUE_SHAPE, _shape(r, cap))
-        case Cond(a, g, b):
-            shape = _continued(_shape(g, cap), _shape(a, cap), _shape(b, cap))
-        case FullAnd(_, _) | FullOr(_, _):
-            raise ModeViolation(
-                "full-sequential connectives must be expanded before evaluation"
-            )
-        case _:  # pragma: no cover
-            raise TypeError(f"not a term: {term!r}")
-    if cap is not None and shape[0] > max(cap, 1):  # a leaf is never too large
-        raise TreeTooLarge(f"tree exceeds the node cap of {cap}")
-    return shape
+    shapes = {TRUE: _TRUE_SHAPE, FALSE: _FALSE_SHAPE}  # also the visited set
+    stack = [] if term in shapes else [term]
+    while stack:
+        s = stack[-1]
+        cls = type(s)
+        if cls is Not:
+            if (p := shapes.get(s.arg)) is None:
+                stack.append(s.arg)
+                continue
+            shape = p[0], p[2], p[1]
+        elif cls is And or cls is Or:
+            if (l := shapes.get(s.left)) is None or (r := shapes.get(s.right)) is None:
+                stack.append(s.left if l is None else s.right)
+                continue
+            shape = _continued(l, r, _FALSE_SHAPE) if cls is And else _continued(l, _TRUE_SHAPE, r)
+        elif cls is Cond:
+            g, a, b = shapes.get(s.guard), shapes.get(s.then), shapes.get(s.orelse)
+            if g is None or a is None or b is None:
+                stack.append(s.guard if g is None else s.then if a is None else s.orelse)
+                continue
+            shape = _continued(g, a, b)
+        elif cls is Atom:
+            shape = _ATOM_SHAPE
+        elif cls is Var:
+            raise NonClosedTerm(f"cannot evaluate open term: ${s.name}")
+        elif cls is FullAnd or cls is FullOr:
+            raise ModeViolation("full-sequential connectives must be expanded before evaluation")
+        else:  # pragma: no cover
+            raise TypeError(f"not a term: {s!r}")
+        if cap is not None and shape[0] > max(cap, 1):  # a leaf is never too large
+            raise TreeTooLarge(f"tree exceeds the node cap of {cap}")
+        shapes[stack.pop()] = shape
+    return shapes[term]
 
 
 def _continued(x, on_true, on_false) -> tuple[int, int, int]:
@@ -215,21 +223,51 @@ def _continued(x, on_true, on_false) -> tuple[int, int, int]:
     )
 
 
-def _build(term: Term, k_true: Tree, k_false: Tree) -> Tree:
-    """The tree of ``term`` with ``k_true``/``k_false`` at its T/F-leaves."""
-    match term:
-        case Const(v):
-            return k_true if v else k_false
-        case Atom(name):
-            return Node(name, k_true, k_false)
-        case Not(p):
-            return _build(p, k_false, k_true)
-        case And(l, r):
-            return _build(l, _build(r, k_true, k_false), k_false)
-        case Or(l, r):
-            return _build(l, k_true, _build(r, k_true, k_false))
-        case Cond(a, g, b):
-            return _build(g, _build(a, k_true, k_false), _build(b, k_true, k_false))
+def _node(k_true: Tree, atom: Atom, k_false: Tree) -> Node:
+    return Node(atom.name, k_true, k_false)
+
+
+def _build(term: Term, k_true, k_false, leaf: Callable):
+    """``term`` read as ``eval_tree`` reads it, with ``k_true``/``k_false``
+    at its T/F-leaves: the one evaluator of trees and basic forms, for terms
+    already checked.  An atom ``a`` becomes ``leaf(kt, a, kf)``: ``_node``
+    for trees, ``Cond`` for basic forms.  Constants and atoms are read where
+    met; each (term, continuation, continuation) triple is built once.
+    """
+    done = {}
+
+    def read(s: Term, kt, kf):  # None: not built yet
+        cls = type(s)
+        if cls is Const:
+            return kt if s.value else kf
+        if cls is Atom:
+            return leaf(kt, s, kf)
+        return done.get((s, kt, kf))
+
+    if (result := read(term, k_true, k_false)) is not None:
+        return result
+    stack = [(term, k_true, k_false)]
+    while stack:
+        s, kt, kf = stack[-1]
+        cls = type(s)
+        # step: an operand still to build, or else the read that gives s's result
+        if cls is Not:
+            step = s.arg, kf, kt
+        elif cls is And:
+            step = (s.right, kt, kf) if (x := read(s.right, kt, kf)) is None else (s.left, x, kf)
+        elif cls is Or:
+            step = (s.right, kt, kf) if (y := read(s.right, kt, kf)) is None else (s.left, kt, y)
+        elif (x := read(s.then, kt, kf)) is None:
+            step = s.then, kt, kf
+        elif (y := read(s.orelse, kt, kf)) is None:
+            step = s.orelse, kt, kf
+        else:
+            step = s.guard, x, y
+        if (result := read(*step)) is None:
+            stack.append(step)
+        else:
+            done[stack.pop()] = result
+    return done[term, k_true, k_false]
 
 
 def _check_atom(atom, known: set[str], pos: int | None = None) -> None:

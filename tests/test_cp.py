@@ -262,6 +262,7 @@ def test_cp_functions_take_deep_chains(right):
     x = tree_of(b)
     assert x.size == 2 * 10_000 + 1
     assert basic_of(x) is b
+    assert eval_tree(t) is x
 
 
 def test_cp_functions_are_linear_on_shared_trees():

@@ -7,6 +7,7 @@ from sclkit import (
     FiniteModel,
     FreeModelCheck,
     ModeViolation,
+    ParseError,
     UnboundVariable,
     UninterpretedAtom,
     check_independence,
@@ -139,6 +140,39 @@ def test_model_validation():
 def test_model_json_roundtrip():
     for e in independence_suite():
         assert model_from_json(model_to_json(e.model)) == e.model
+
+
+_GOOD_MODEL = {"name": "m", "size": 2, "neg": [1, 0], "and": [0, 0, 0, 1], "or": [0, 1, 1, 1]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        [],
+        [_GOOD_MODEL],
+        "model",
+        {**_GOOD_MODEL, "size": "2"},
+        {**_GOOD_MODEL, "size": True},
+        {**_GOOD_MODEL, "name": 5},
+        {k: v for k, v in _GOOD_MODEL.items() if k != "or"},
+        {**_GOOD_MODEL, "neg": [1, 2]},  # outside the carrier
+        {**_GOOD_MODEL, "neg": "10"},
+        {**_GOOD_MODEL, "and": [0, 0, 0]},
+        {**_GOOD_MODEL, "and": [0, 0, 0, 1, 1]},
+        {**_GOOD_MODEL, "or": [0, 1, 1, None]},
+        {**_GOOD_MODEL, "true": 2},
+        {**_GOOD_MODEL, "false": "0"},
+        {**_GOOD_MODEL, "atoms": ["a"]},
+        {**_GOOD_MODEL, "atoms": {"a": 1.0}},
+        {**_GOOD_MODEL, "default_atom": -1},
+        {**_GOOD_MODEL, "size": 0, "neg": [], "and": [], "or": []},
+    ],
+)
+def test_model_from_json_rejects_malformed_input(data):
+    assert model_from_json(_GOOD_MODEL).size == 2
+    with pytest.raises(ParseError):
+        model_from_json(data)
 
 
 def test_valid_in_free_model():
