@@ -67,13 +67,31 @@ def classify(t: Term) -> SnfClass:
     level; the finer *-term categories classify the left/right parts.  The
     category is cached in the term's ``_snf_cat`` slot (terms are interned,
     so it is computed once per live term), and repeated dispatch during
-    normalization stays cheap.
+    normalization stays cheap.  On a miss, the subterms that ``_classify``
+    reads and that have no category yet are filled first, bottom-up and
+    without recursion.
     """
     cat = t._snf_cat
     if cat is None:
-        cat = _classify(t)
-        object.__setattr__(t, "_snf_cat", cat)
+        if _unclassified(t):
+            for s in postorder(t, _unclassified):
+                object.__setattr__(s, "_snf_cat", _classify(s))
+        else:
+            object.__setattr__(t, "_snf_cat", _classify(t))
+        cat = t._snf_cat
     return cat
+
+
+def _unclassified(t: Term) -> tuple[Term, ...]:
+    """The operands of a conjunction or disjunction that have no category
+    yet: ``_classify`` reads the categories of those and of theirs, and of
+    no other subterm."""
+    if type(t) is And or type(t) is Or:
+        left, right = t.left, t.right
+        if left._snf_cat is None:
+            return (left, right) if right._snf_cat is None else (left,)
+        return (right,) if right._snf_cat is None else ()
+    return ()
 
 
 def _classify(t: Term) -> SnfClass:

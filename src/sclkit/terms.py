@@ -417,45 +417,54 @@ def expand_full(t: Term) -> Term:
 _LEVEL_COND, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 0, 1, 2, 3, 4
 
 
+_INFIX = {
+    And: (" && ", _LEVEL_AND),
+    FullAnd: (" &.& ", _LEVEL_AND),
+    Or: (" || ", _LEVEL_OR),
+    FullOr: (" |.| ", _LEVEL_OR),
+}
+
+
 def format_term(t: Term) -> str:
-    """Render ``t`` with the minimal parentheses that reparse to the same AST."""
-    return _fmt(t, _LEVEL_COND)
+    """Render ``t`` with the minimal parentheses that reparse to the same AST.
 
-
-def _fmt(t: Term, min_level: int) -> str:
-    match t:
-        case Const(v):
-            s, level = ("T" if v else "F"), _LEVEL_ATOM
-        case Atom(name):
-            s, level = name, _LEVEL_ATOM
-        case Var(name):
-            s, level = "$" + name, _LEVEL_ATOM
-        case Not(p):
-            s, level = "!" + _fmt(p, _LEVEL_NOT), _LEVEL_NOT
-        case And(l, r):
-            s = _fmt(l, _LEVEL_AND) + " && " + _fmt(r, _LEVEL_AND + 1)
-            level = _LEVEL_AND
-        case FullAnd(l, r):
-            s = _fmt(l, _LEVEL_AND) + " &.& " + _fmt(r, _LEVEL_AND + 1)
-            level = _LEVEL_AND
-        case Or(l, r):
-            s = _fmt(l, _LEVEL_OR) + " || " + _fmt(r, _LEVEL_OR + 1)
-            level = _LEVEL_OR
-        case FullOr(l, r):
-            s = _fmt(l, _LEVEL_OR) + " |.| " + _fmt(r, _LEVEL_OR + 1)
-            level = _LEVEL_OR
-        case Cond(a, g, b):
-            s = (
-                _fmt(a, _LEVEL_OR)
-                + " <| "
-                + _fmt(g, _LEVEL_OR)
-                + " |> "
-                + _fmt(b, _LEVEL_OR)
-            )
-            level = _LEVEL_COND
-        case _:  # pragma: no cover
-            raise TypeError(f"not a term: {t!r}")
-    return "(" + s + ")" if level < min_level else s
+    The pieces are put out left to right from an explicit stack, which holds
+    pieces still to put out and ``(term, level)`` pairs still to render (a
+    term is parenthesized when its level is below the one its place
+    needs), and joined once.
+    """
+    out, stack = [], [(t, _LEVEL_COND)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        s, min_level = item
+        cls = s.__class__
+        infix = _INFIX.get(cls)
+        if infix is not None:
+            op, level = infix
+            if level < min_level:
+                out.append("(")
+                stack.append(")")
+            stack += ((s.right, level + 1), op, (s.left, level))
+        elif cls is Atom:
+            out.append(s.name)
+        elif cls is Const:
+            out.append("T" if s.value else "F")
+        elif cls is Not:
+            out.append("!")
+            stack.append((s.arg, _LEVEL_NOT))
+        elif cls is Var:
+            out.append("$" + s.name)
+        elif cls is Cond:
+            if _LEVEL_COND < min_level:
+                out.append("(")
+                stack.append(")")
+            stack += ((s.orelse, _LEVEL_OR), " |> ", (s.guard, _LEVEL_OR), " <| ", (s.then, _LEVEL_OR))
+        else:  # pragma: no cover
+            raise TypeError(f"not a term: {s!r}")
+    return "".join(out)
 
 
 def term_to_json(t: Term):

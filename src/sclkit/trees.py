@@ -270,70 +270,107 @@ def _build(term: Term, k_true, k_false, leaf: Callable):
     return done[term, k_true, k_false]
 
 
-def _check_atom(atom, known: set[str], pos: int | None = None) -> None:
+def _check_atom(atom, known: set[str]) -> None:
     """Raise ``ParseError`` unless ``atom`` follows the name rule of term
     atoms.  Names in ``known`` passed before; a passing name is added."""
     if not (isinstance(atom, str) and atom in known or _is_name(atom)):
-        raise ParseError(f"invalid atom name {atom!r}", pos)
+        raise ParseError(f"invalid atom name {atom!r}")
     known.add(atom)
 
 
 def format_tree(x: Tree) -> str:
-    """Render ``x`` in the canonical text form ``(left <atom> right)``."""
-    if isinstance(x, Leaf):
-        return x.value
-    return f"({format_tree(x.left)} <{x.atom}> {format_tree(x.right)})"
+    """Render ``x`` in the canonical text form ``(left <atom> right)``.
+
+    The pieces are put out left to right from an explicit stack and joined
+    once.  A subtree met again is put out as one piece: its text is joined
+    from the pieces of its first occurrence and kept for the call.
+    """
+    out, spans, texts, stack = [], {}, {}, [x]
+    while stack:
+        s = stack.pop()
+        cls = s.__class__
+        if cls is str:
+            out.append(s)
+        elif cls is Leaf:
+            out.append(s.value)
+        elif cls is tuple:  # the end of a node's first occurrence
+            node, begin = s
+            spans[node] = begin, len(out)
+        elif (text := texts.get(s)) is not None:
+            out.append(text)
+        elif (span := spans.get(s)) is not None:
+            text = texts[s] = "".join(out[span[0] : span[1]])
+            out.append(text)
+        else:
+            stack += ((s, len(out)), ")", s.right, f" <{s.atom}> ", s.left)
+            out.append("(")
+    return "".join(out)
 
 
-# After optional whitespace: a leaf or "(", an "<atom>", or ")".
-_TREE_TOKEN = re.compile(r"\s*(?:([TF^(])|<([^>]*)>|(\)))")
+# After optional whitespace, one token: a leaf, a parenthesis, an "<atom>",
+# or any other character, so that a malformed text is read up to the token
+# that is wrong.
+_TREE_TOKEN = re.compile(r"\s*([TF^()]|<[^>]*>|\S)")
 _LEAVES = {"T": Leaf.TRUE, "F": Leaf.FALSE, "^": Leaf.HOLE}
 
 
 def parse_tree(text: str) -> Tree:
     """Parse the canonical text form back into a tree, without recursion.
 
-    Atom names follow the rule of term atoms; each distinct name is checked
-    once.  Raises ``ParseError`` on any malformed input.
+    The tokens are taken by one ``findall``, and each distinct subtree is
+    looked up in the unique table once per call.  Atom names follow the
+    rule of term atoms; each distinct name is checked once.  Raises
+    ``ParseError`` on any malformed input, at the token that is wrong.
     """
-    match, names, pos = _TREE_TOKEN.match, set(), 0
+    tokens = _TREE_TOKEN.findall(text)
+    tokens.append("")  # the end of the input
+    leaves, names, built, i = _LEAVES, set(), {}, 0
     opened = []  # per open "(": None, then (atom, left) once the atom is read
-    while True:
-        m = match(text, pos)
-        if m is None or m.group(1) is None:
-            pos = _skip_ws(text, pos)
-            if pos == len(text):
-                raise ParseError("unexpected end of input", pos)
-            raise ParseError(f"expected 'T', 'F', '^', or '(', found {text[pos]!r}", pos)
-        pos = m.end()
-        if m.group(1) == "(":
+    while True:  # read a subtree: "(" opens a node, a leaf ends it
+        token = tokens[i]
+        i += 1
+        if token == "(":
             opened.append(None)
             continue
-        tree = _LEAVES[m.group(1)]
+        tree = leaves.get(token)
+        if tree is None:
+            if not token:
+                raise ParseError("unexpected end of input", len(text))
+            raise ParseError(f"expected 'T', 'F', '^', or '(', found {token[0]!r}", _start(text, i - 1))
         while opened:  # ``tree`` is a branch of the innermost open node
-            m = match(text, pos)
+            token = tokens[i]
             if opened[-1] is None:
-                if m is None or m.group(2) is None:
-                    pos = _skip_ws(text, pos)
-                    if text.startswith("<", pos):
-                        raise ParseError("unterminated '<atom>'", pos)
-                    raise ParseError("expected '<atom>'", pos)
-                _check_atom(m.group(2), names, m.start(2))
-                opened[-1], pos = (m.group(2), tree), m.end()
+                if token[:1] != "<" or token == "<":
+                    message = "unterminated '<atom>'" if token == "<" else "expected '<atom>'"
+                    raise ParseError(message, _start(text, i))
+                atom = token[1:-1]
+                if atom not in names:
+                    if not _is_name(atom):
+                        raise ParseError(f"invalid atom name {atom!r}", _start(text, i) + 1)
+                    names.add(atom)
+                opened[-1] = atom, tree
+                i += 1
                 break
-            if m is None or m.group(3) is None:
-                raise ParseError("expected ')'", _skip_ws(text, pos))
+            if token != ")":
+                raise ParseError("expected ')'", _start(text, i))
+            i += 1
             atom, left = opened.pop()
-            tree, pos = Node(atom, left, tree), m.end()
+            key = atom, left, tree
+            tree = built.get(key)
+            if tree is None:
+                tree = built[key] = Node(*key)
         else:
-            pos = _skip_ws(text, pos)
-            if pos != len(text):
-                raise ParseError(f"unexpected trailing {text[pos]!r}", pos)
+            if tokens[i]:
+                raise ParseError(f"unexpected trailing {tokens[i][0]!r}", _start(text, i))
             return tree
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    return len(text) - len(text[pos:].lstrip())
+def _start(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts, or the end of the input."""
+    for j, m in enumerate(_TREE_TOKEN.finditer(text)):
+        if j == i:
+            return m.start(1)
+    return len(text)
 
 
 def tree_to_json(x: Tree):

@@ -118,6 +118,17 @@ def test_invert(capsys):
     assert out == nf_out
 
 
+def test_invert_deep_chain_tree(capsys):
+    # a right-nested chain of 10,000 atoms: its tree is 10,000 deep
+    text = "T"
+    for i in reversed(range(10_000)):
+        text = f"({text} <a{i}> F)"
+    code, out, err = run(capsys, "invert", text)
+    assert (code, err) == (0, "")
+    assert out.startswith("T && ((a0 && T || F) && (a1 && T || F) && ")
+    assert out.endswith(" && (a9999 && T || F))\n")
+
+
 def test_translate(capsys):
     code, out, _ = run(capsys, "translate", "!a", "--to", "cp")
     assert (code, out) == (0, "F <| a |> T\n")

@@ -435,3 +435,14 @@ def test_helpers_find_repeated_calls_in_their_memos():
         start = time.perf_counter()
         fn(*args)
         assert time.perf_counter() - start < 0.5, fn.__name__
+
+
+def test_nf_on_a_right_nested_chain():
+    # classify fills the categories of a deep term without recursion
+    atoms = [Atom(f"a{i}") for i in range(500)]
+    chain = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        chain = And(a, chain)
+    normal = nf(chain)
+    assert classify(normal) is SnfClass.T_STAR_TERM
+    assert eval_tree(normal) is eval_tree(chain)

@@ -188,3 +188,18 @@ def test_json_mode_enforcement():
 def test_term_from_json_errors(bad):
     with pytest.raises(ParseError):
         term_from_json(bad)
+
+
+def test_format_term_on_deep_chains():
+    atoms = [Atom(f"a{i}") for i in range(2_000)]
+    left = atoms[0]
+    for a in atoms[1:]:
+        left = And(left, a)
+    right = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        right = Or(Not(a), right)
+    assert format_term(left) == " && ".join(f"a{i}" for i in range(2_000))
+    text = format_term(right)
+    assert text.startswith("!a0 || (!a1 || (") and text.endswith("a1999" + ")" * 1_998)
+    text = format_term(Cond(Not(left), right, left))
+    assert text == f"!({format_term(left)}) <| {format_term(right)} |> {format_term(left)}"

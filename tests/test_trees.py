@@ -1,4 +1,5 @@
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -34,7 +35,8 @@ from sclkit import (
     tree_from_json,
     tree_to_json,
 )
-from sclkit.generate import random_scl_term, random_term, random_tree
+from sclkit.generate import random_scl_term, random_snf_term, random_term, random_tree
+from sclkit.terms import _is_name
 
 T, F, H = Leaf.TRUE, Leaf.FALSE, Leaf.HOLE
 
@@ -268,3 +270,157 @@ def test_eval_tree_object_graph_is_linear():
     assert _node_objects(blowup) == 26
     chain = reduce(And, [Atom(f"a{i}") for i in range(900)])
     assert eval_tree(chain).size == 1_801
+
+
+# ---- the tree text reader against the scanner it replaced
+
+_REFERENCE_TOKEN = re.compile(r"\s*(?:([TF^(])|<([^>]*)>|(\)))")
+
+
+def _skip_ws(text, pos):
+    return len(text) - len(text[pos:].lstrip())
+
+
+def reference_parse_tree(text):
+    """The tree text reader that ``parse_tree`` replaced: one anchored
+    regex match per token, kept only as a test oracle."""
+    match, names, pos = _REFERENCE_TOKEN.match, set(), 0
+    opened = []  # per open "(": None, then (atom, left) once the atom is read
+    while True:
+        m = match(text, pos)
+        if m is None or m.group(1) is None:
+            pos = _skip_ws(text, pos)
+            if pos == len(text):
+                raise ParseError("unexpected end of input", pos)
+            raise ParseError(f"expected 'T', 'F', '^', or '(', found {text[pos]!r}", pos)
+        pos = m.end()
+        if m.group(1) == "(":
+            opened.append(None)
+            continue
+        tree = {"T": T, "F": F, "^": H}[m.group(1)]
+        while opened:
+            m = match(text, pos)
+            if opened[-1] is None:
+                if m is None or m.group(2) is None:
+                    pos = _skip_ws(text, pos)
+                    if text.startswith("<", pos):
+                        raise ParseError("unterminated '<atom>'", pos)
+                    raise ParseError("expected '<atom>'", pos)
+                atom = m.group(2)
+                if atom not in names and not _is_name(atom):
+                    raise ParseError(f"invalid atom name {atom!r}", m.start(2))
+                names.add(atom)
+                opened[-1], pos = (atom, tree), m.end()
+                break
+            if m is None or m.group(3) is None:
+                raise ParseError("expected ')'", _skip_ws(text, pos))
+            atom, left = opened.pop()
+            tree, pos = Node(atom, left, tree), m.end()
+        else:
+            pos = _skip_ws(text, pos)
+            if pos != len(text):
+                raise ParseError(f"unexpected trailing {text[pos]!r}", pos)
+            return tree
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+_ODD_TEXTS = [
+    "",
+    "   ",
+    "<",
+    "<>",
+    "<é>",
+    "(T <a> F)  x",
+    "(T <a> F))",
+    "(T <a> F) (T <b> F)",
+    "(T <a> F",
+    "(T <a>",
+    "((T <a> F) <b>",
+    "(T <a F)",
+    "(T <a F) >",
+    "(T < a > F)",
+    "(T <> F)",
+    "(T <é> F)",
+    "(T <T> F)",
+    "\u00a0(T\u2003<a>\x1cF)\u00a0",
+    "(T\u00a0<a>\u2003F\x1c",
+    "(\x1c",
+    "(T <a> é)",
+]
+_MUTATIONS = "TF^()<> \t\n\u00a0\u2003\x1caé_1"
+
+
+def _mutated(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(chars) + 1)
+        roll = rng.random()
+        if roll < 0.4 and chars:
+            del chars[min(pos, len(chars) - 1)]
+        elif roll < 0.8:
+            chars.insert(pos, rng.choice(_MUTATIONS))
+        else:  # cut, so that some texts end inside a node
+            chars[pos:] = chars[pos:][: rng.randint(0, 3)]
+    return "".join(chars)
+
+
+def test_parse_tree_matches_reference_scanner():
+    rng = random.Random(2026)
+    texts, errors = list(_ODD_TEXTS), 0
+    for i in range(30_000):
+        if i % 3:
+            x = random_tree(rng, max_depth=rng.randint(0, 6), hole_prob=0.1)
+        else:
+            x = eval_tree(random_snf_term(rng, budget=8, max_depth=1))
+        text = format_tree(x)
+        texts.append(text if rng.random() < 0.25 else _mutated(rng, text))
+    for text in texts:
+        expected = _read(reference_parse_tree, text)
+        assert _read(parse_tree, text) == expected, text
+        errors += isinstance(expected, tuple)
+    assert errors > 15_000  # most texts are malformed
+
+
+def test_regex_whitespace_is_str_whitespace():
+    # the reader skips whitespace with regex \s, the reference with str.strip
+    assert all(
+        bool(re.fullmatch(r"\s", c)) == c.isspace() for c in map(chr, range(0x110000))
+    )
+
+
+def test_parse_tree_builds_each_distinct_subtree_once(monkeypatch):
+    text = format_tree(eval_tree(reduce(And, [Or(Atom("a"), Atom("b"))] * 10)))
+    calls, make = [], Node.__new__
+
+    def counting_new(cls, *args):
+        calls.append(args)
+        return make(cls, *args)
+
+    monkeypatch.setattr(Node, "__new__", staticmethod(counting_new))
+    x = parse_tree(text)
+    assert len(calls) == _node_objects(x) == 20
+    assert text.count("(") == 2_046  # logical nodes, against 20 distinct ones
+
+
+# ---- printers and readers without recursion
+
+
+def _chain(n, op=And):
+    return reduce(lambda acc, a: op(a, acc), [Atom(f"a{i}") for i in reversed(range(n))])
+
+
+def test_format_tree_is_iterative_and_shares_repeats():
+    deep = eval_tree(_chain(3_000))
+    assert deep.depth == 3_000
+    text = format_tree(deep)
+    assert text.startswith("((((") and text.endswith("<a0> F)")
+    assert parse_tree(text) is deep
+    shared = eval_tree(parse(" && ".join(["(a || b)"] * 14)))
+    nodes, leaves = shared.size // 2, shared.size // 2 + 1
+    assert len(format_tree(shared)) == 7 * nodes + leaves  # "(", " <a> ", ")" per node
