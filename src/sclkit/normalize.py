@@ -67,67 +67,69 @@ def classify(t: Term) -> SnfClass:
     level; the finer *-term categories classify the left/right parts.  The
     category is cached in the term's ``_snf_cat`` slot (terms are interned,
     so it is computed once per live term), and repeated dispatch during
-    normalization stays cheap.  On a miss, the subterms that ``_classify``
-    reads and that have no category yet are filled first, bottom-up and
-    without recursion.
+    normalization stays cheap.  On a miss, the subterms whose categories
+    ``_classify`` asks for are filled first, from an explicit stack.
     """
     cat = t._snf_cat
     if cat is None:
-        if _unclassified(t):
-            for s in postorder(t, _unclassified):
-                object.__setattr__(s, "_snf_cat", _classify(s))
-        else:
-            object.__setattr__(t, "_snf_cat", _classify(t))
+        stack = [t]
+        while stack:
+            need = _classify(stack[-1])
+            if need.__class__ is SnfClass:
+                object.__setattr__(stack.pop(), "_snf_cat", need)
+            else:
+                stack.append(need)
         cat = t._snf_cat
     return cat
 
 
-def _unclassified(t: Term) -> tuple[Term, ...]:
-    """The operands of a conjunction or disjunction that have no category
-    yet: ``_classify`` reads the categories of those and of theirs, and of
-    no other subterm."""
-    if type(t) is And or type(t) is Or:
-        left, right = t.left, t.right
-        if left._snf_cat is None:
-            return (left, right) if right._snf_cat is None else (left,)
-        return (right,) if right._snf_cat is None else ()
-    return ()
-
-
-def _classify(t: Term) -> SnfClass:
-    match t:
-        case Const(v):
-            return SnfClass.T_TERM if v else SnfClass.F_TERM
-        case Or(l, r):
-            rc = classify(r)
-            match l:
-                case And(Atom(), p):
-                    if classify(p) is SnfClass.T_TERM:
+def _classify(t: Term) -> SnfClass | Term:
+    """The category of ``t``, or the first subterm it reads whose category
+    is not known yet: the right operand, then the operand ``p`` of a left
+    operand ``a && p``, ``!a && p`` or ``a || p``, then the left operand.
+    """
+    cls = type(t)
+    if cls is Or or cls is And:
+        left, rc = t.left, t.right._snf_cat
+        if rc is None:
+            return t.right
+        if cls is Or:
+            if type(left) is And:
+                a, pc = left.left, left.right._snf_cat
+                if type(a) is Atom:
+                    if pc is None:
+                        return left.right
+                    if pc is SnfClass.T_TERM:
                         if rc is SnfClass.T_TERM:
                             return SnfClass.T_TERM
                         if rc is SnfClass.F_TERM:
                             return SnfClass.L_TERM
-                case And(Not(Atom()), p):
-                    if classify(p) is SnfClass.T_TERM and rc is SnfClass.F_TERM:
+                elif type(a) is Not and type(a.arg) is Atom:
+                    if pc is None:
+                        return left.right
+                    if pc is SnfClass.T_TERM and rc is SnfClass.F_TERM:
                         return SnfClass.L_TERM
             # a disjunction of a *-term with a c-term associates to the left
-            if is_star_class(classify(l)) and rc in (SnfClass.L_TERM, SnfClass.C_TERM):
+            if (lc := left._snf_cat) is None:
+                return left
+            if lc in _STAR and (rc is SnfClass.L_TERM or rc is SnfClass.C_TERM):
                 return SnfClass.D_TERM
             return SnfClass.NOT_SNF
-        case And(l, r):
-            rc = classify(r)
-            match l:
-                case Or(Atom(), p):
-                    if classify(p) is SnfClass.F_TERM and rc is SnfClass.F_TERM:
-                        return SnfClass.F_TERM
-            lc = classify(l)
-            if is_star_class(lc) and rc in (SnfClass.L_TERM, SnfClass.D_TERM):
-                return SnfClass.C_TERM
-            if lc is SnfClass.T_TERM and is_star_class(rc):
-                return SnfClass.T_STAR_TERM
-            return SnfClass.NOT_SNF
-        case _:
-            return SnfClass.NOT_SNF
+        if type(left) is Or and type(left.left) is Atom:
+            if (pc := left.right._snf_cat) is None:
+                return left.right
+            if pc is SnfClass.F_TERM and rc is SnfClass.F_TERM:
+                return SnfClass.F_TERM
+        if (lc := left._snf_cat) is None:
+            return left
+        if lc in _STAR and (rc is SnfClass.L_TERM or rc is SnfClass.D_TERM):
+            return SnfClass.C_TERM
+        if lc is SnfClass.T_TERM and rc in _STAR:
+            return SnfClass.T_STAR_TERM
+        return SnfClass.NOT_SNF
+    if cls is Const:
+        return SnfClass.T_TERM if t.value else SnfClass.F_TERM
+    return SnfClass.NOT_SNF
 
 
 def _reject(t: Term, expected: str) -> NotInNormalForm:
