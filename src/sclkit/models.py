@@ -2,12 +2,16 @@
 
 A finite model fixes a small carrier, unary/binary operation tables, the
 two constants, and atom values; ``validates`` checks an equation by
-exhausting every variable assignment.  The independence suite packages the
-eight fixed models, each of which satisfies all reduced-set axioms except
-the one it refutes, together with the cited closed refutation.
+exhausting every variable assignment.  Both it and ``eval_in_model`` are
+one fold over the distinct subterms (``_columns``), which gives each
+subterm its column of values under a block of assignments at once.  The
+independence suite packages the eight fixed models, each of which
+satisfies all reduced-set axioms except the one it refutes, together with
+the cited closed refutation.
 
 ``valid_in_free_model`` checks an equation against tree semantics under
-seeded random closed substitutions instead.
+seeded random closed substitutions instead; the two sides of a sample
+share one memo of subterm trees.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ from .terms import (
     Or,
     Term,
     Var,
+    _is_name,
+    postorder,
     substitute,
 )
-from .trees import DEFAULT_NODE_CAP, eval_tree
+from .trees import DEFAULT_NODE_CAP, Leaf, _build, _node, _shape
+from .trees import eval_tree  # noqa: F401  (bench/worker.py traces models.eval_tree)
 
 Assignment = Mapping[str, int]
 
@@ -79,28 +86,51 @@ class FiniteModel:
 def eval_in_model(m: FiniteModel, t: Term, assignment: Assignment | None = None) -> int:
     """Evaluate a term over the model's tables under a variable assignment."""
     env = assignment or {}
-    match t:
-        case Const(v):
-            return m.true_value if v else m.false_value
-        case Atom(name):
-            return m.atom_value(name)
-        case Var(name):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnboundVariable(f"no value for variable ${name}") from None
-        case Not(p):
-            return m.neg_table[eval_in_model(m, p, env)]
-        case And(l, r):
-            return m.and_table[eval_in_model(m, l, env)][eval_in_model(m, r, env)]
-        case Or(l, r):
-            return m.or_table[eval_in_model(m, l, env)][eval_in_model(m, r, env)]
-        case Cond(_, _, _) | FullAnd(_, _) | FullOr(_, _):
-            raise ModeViolation(
-                f"{type(t).__name__} nodes have no interpretation in finite models"
-            )
-        case _:  # pragma: no cover
-            raise TypeError(f"not a term: {t!r}")
+    cols = {Var(name): [v] for name, v in env.items() if _is_name(name)}
+    return _columns(m, (t,), cols, 1)[0][0]
+
+
+def _columns(m: FiniteModel, sides, cols: dict, n: int) -> list[list[int]]:
+    """The column of each of ``sides``: its values under ``n`` assignments.
+
+    ``cols`` maps each bound variable, and any subterm already evaluated,
+    to its column, and is filled in as the fold goes.  Each distinct
+    subterm is evaluated once, after its operands and without recursion;
+    the sides are taken in order, so the first error met is the one a
+    recursive evaluation would raise.  No error depends on the assignment.
+    """
+    neg, and_table, or_table = m.neg_table, m.and_table, m.or_table
+
+    def operands(s):  # none for a node rejected on sight, or already done
+        cls = type(s)
+        if cls is Not:
+            return () if s in cols else (s.arg,)
+        if cls is And or cls is Or:
+            return () if s in cols else (s.left, s.right)
+        return ()
+
+    for side in sides:
+        for s in postorder(side, operands):
+            if s in cols:
+                continue
+            cls = type(s)
+            if cls is Not:
+                col = [neg[a] for a in cols[s.arg]]
+            elif cls is And or cls is Or:
+                table = and_table if cls is And else or_table
+                col = [table[a][b] for a, b in zip(cols[s.left], cols[s.right])]
+            elif cls is Const:
+                col = [m.true_value if s.value else m.false_value] * n
+            elif cls is Atom:
+                col = [m.atom_value(s.name)] * n
+            elif cls is Var:
+                raise UnboundVariable(f"no value for variable ${s.name}")
+            elif cls is Cond or cls is FullAnd or cls is FullOr:
+                raise ModeViolation(f"{cls.__name__} nodes have no interpretation in finite models")
+            else:
+                raise TypeError(f"not a term: {s!r}")
+            cols[s] = col
+    return [cols[side] for side in sides]
 
 
 @dataclass(frozen=True)
@@ -113,19 +143,31 @@ class ValidationResult:
         return self.valid
 
 
+# Values ``validates`` holds at once: distinct subterms times assignments.
+_CELLS = 1 << 16
+
+
 def validates(m: FiniteModel, eq: Equation) -> ValidationResult:
     """Exhaustively check an equation over all variable assignments.
 
     The first counterexample in lexicographic assignment order (variables
-    sorted by name) is reported.
+    sorted by name) is reported.  Assignments are taken in blocks, sized
+    so that the columns of one block hold about ``_CELLS`` values; within
+    a block both sides share one ``_columns`` memo.
     """
     names = sorted(eq.variables)
+    sides = eq.lhs, eq.rhs
+    # a side that is no term has no node count; the fold rejects it
+    block = max(1, _CELLS // sum(getattr(side, "node_count", 1) for side in sides))
+    assignments = itertools.product(range(m.size), repeat=len(names))
     checked = 0
-    for values in itertools.product(range(m.size), repeat=len(names)):
-        env = dict(zip(names, values))
-        checked += 1
-        if eval_in_model(m, eq.lhs, env) != eval_in_model(m, eq.rhs, env):
-            return ValidationResult(False, env, checked)
+    while rows := list(itertools.islice(assignments, block)):
+        cols = {Var(name): list(col) for name, col in zip(names, zip(*rows))}
+        lhs, rhs = _columns(m, sides, cols, len(rows))
+        if lhs != rhs:
+            i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            return ValidationResult(False, dict(zip(names, rows[i])), checked + i + 1)
+        checked += len(rows)
     return ValidationResult(True, None, checked)
 
 
@@ -324,14 +366,24 @@ def valid_in_free_model(
     cap: int | None = DEFAULT_NODE_CAP,
 ) -> FreeModelCheck:
     """Check an equation against tree semantics under random closed
-    substitutions; a failure reports the witnessing substitution."""
+    substitutions; a failure reports the witnessing substitution.
+
+    Each sample checks both sides (left first) against ``cap`` and then
+    builds their trees with one memo, so a subterm the two sides share is
+    shaped and built once; the trees are interned, so equal means ``is``.
+    """
     rng = Random(seed)
     names = sorted(eq.variables)
     for i in range(samples):
         subst = random_substitution(rng, names, atoms, max_depth)
-        lhs = eval_tree(substitute(eq.lhs, subst), cap)
-        rhs = eval_tree(substitute(eq.rhs, subst), cap)
-        if lhs != rhs:
+        shapes, done = {}, {}
+        lhs = substitute(eq.lhs, subst)
+        _shape(lhs, cap, shapes)
+        rhs = substitute(eq.rhs, subst)
+        _shape(rhs, cap, shapes)
+        if _build(lhs, Leaf.TRUE, Leaf.FALSE, _node, done) is not _build(
+            rhs, Leaf.TRUE, Leaf.FALSE, _node, done
+        ):
             return FreeModelCheck(False, subst, i + 1)
     return FreeModelCheck(True, None, samples)
 

@@ -269,15 +269,14 @@ class Cond(_CondFields, Interned):
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Not(p):
-            return (p,)
-        case And(l, r) | Or(l, r) | FullAnd(l, r) | FullOr(l, r):
-            return (l, r)
-        case Cond(a, g, b):
-            return (a, g, b)
-        case _:
-            return ()
+    cls = type(t)
+    if cls is Not:
+        return (t.arg,)
+    if cls is And or cls is Or or cls is FullAnd or cls is FullOr:
+        return (t.left, t.right)
+    if cls is Cond:
+        return (t.then, t.guard, t.orelse)
+    return ()
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -312,7 +311,8 @@ def postorder(t: Term, kids: Callable[[Term], tuple[Term, ...]] = children) -> I
 
 
 def variables(t: Term) -> frozenset[str]:
-    return frozenset(s.name for s in subterms(t) if isinstance(s, Var))
+    """The names of the variables of ``t``, visiting each distinct subterm once."""
+    return frozenset(s.name for s in postorder(t) if isinstance(s, Var))
 
 
 _MODE_NODES: dict[str, tuple[type, ...]] = {
@@ -361,26 +361,32 @@ def dual(t: Term) -> Term:
 
 
 def substitute(t: Term, subst: Mapping[str, Term]) -> Term:
-    """Simultaneously replace every variable of ``t`` using ``subst``."""
-    match t:
-        case Var(name):
+    """Simultaneously replace every variable of ``t`` using ``subst``.
+
+    One fold over the distinct subterms, without recursion; the first
+    unbound variable met, left to right, is the one reported.  A subterm
+    in which nothing changes is rebuilt from the same operands, which
+    interning answers with the subterm itself.
+    """
+    new = {}
+    for s in postorder(t):
+        cls = type(s)
+        if cls is Not:
+            new[s] = Not(new[s.arg])
+        elif cls is And or cls is Or or cls is FullAnd or cls is FullOr:
+            new[s] = cls(new[s.left], new[s.right])
+        elif cls is Var:
             try:
-                return subst[name]
+                new[s] = subst[s.name]
             except KeyError:
-                raise UnboundVariable(f"no binding for variable ${name}") from None
-        case Const(_) | Atom(_):
-            return t
-        case Not(p):
-            q = substitute(p, subst)
-            return t if q is p else Not(q)
-        case And(l, r) | Or(l, r) | FullAnd(l, r) | FullOr(l, r):
-            l2, r2 = substitute(l, subst), substitute(r, subst)
-            return t if l2 is l and r2 is r else type(t)(l2, r2)
-        case Cond(a, g, b):
-            a2, g2, b2 = (substitute(x, subst) for x in (a, g, b))
-            return t if a2 is a and g2 is g and b2 is b else Cond(a2, g2, b2)
-        case _:  # pragma: no cover
-            raise TypeError(f"not a term: {t!r}")
+                raise UnboundVariable(f"no binding for variable ${s.name}") from None
+        elif cls is Const or cls is Atom:
+            new[s] = s
+        elif cls is Cond:
+            new[s] = Cond(new[s.then], new[s.guard], new[s.orelse])
+        else:
+            raise TypeError(f"not a term: {s!r}")
+    return new[t]
 
 
 def expand_full(t: Term) -> Term:

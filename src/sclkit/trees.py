@@ -170,14 +170,17 @@ def eval_tree(term: Term, cap: int | None = DEFAULT_NODE_CAP) -> Tree:
 _TRUE_SHAPE, _FALSE_SHAPE, _ATOM_SHAPE = (1, 1, 0), (1, 0, 1), (3, 1, 1)
 
 
-def _shape(term: Term, cap: int | None) -> tuple[int, int, int]:
+def _shape(term: Term, cap: int | None, shapes: dict | None = None) -> tuple[int, int, int]:
     """``(size, T-leaves, F-leaves)`` of the tree of ``term``, by arithmetic.
 
     Each distinct subterm is visited once, without recursion, and in
     evaluation order (left before right, the guard before the branches),
     so the first error met is the one a recursive fold would raise.
+    ``shapes`` is a memo the caller may share between calls with one
+    ``cap``; a subterm found in it is not visited again.
     """
-    shapes = {TRUE: _TRUE_SHAPE, FALSE: _FALSE_SHAPE}  # also the visited set
+    shapes = {} if shapes is None else shapes  # also the visited set
+    shapes[TRUE], shapes[FALSE] = _TRUE_SHAPE, _FALSE_SHAPE
     stack = [] if term in shapes else [term]
     while stack:
         s = stack[-1]
@@ -227,14 +230,15 @@ def _node(k_true: Tree, atom: Atom, k_false: Tree) -> Node:
     return Node(atom.name, k_true, k_false)
 
 
-def _build(term: Term, k_true, k_false, leaf: Callable):
+def _build(term: Term, k_true, k_false, leaf: Callable, done: dict | None = None):
     """``term`` read as ``eval_tree`` reads it, with ``k_true``/``k_false``
     at its T/F-leaves: the one evaluator of trees and basic forms, for terms
     already checked.  An atom ``a`` becomes ``leaf(kt, a, kf)``: ``_node``
     for trees, ``Cond`` for basic forms.  Constants and atoms are read where
-    met; each (term, continuation, continuation) triple is built once.
+    met; each (term, continuation, continuation) triple is built once per
+    ``done``, a memo the caller may share between calls with one ``leaf``.
     """
-    done = {}
+    done = {} if done is None else done
 
     def read(s: Term, kt, kf):  # None: not built yet
         cls = type(s)

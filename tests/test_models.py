@@ -1,15 +1,33 @@
+import itertools
+import time
+import tracemalloc
+from functools import reduce
 from random import Random
 
 import pytest
 
 from sclkit import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Cond,
+    Const,
     Equation,
     FiniteModel,
     FreeModelCheck,
+    FullAnd,
+    FullOr,
     ModeViolation,
+    Not,
+    Or,
     ParseError,
+    SclError,
+    TreeTooLarge,
     UnboundVariable,
     UninterpretedAtom,
+    ValidationResult,
+    Var,
     check_independence,
     eval_in_model,
     eval_tree,
@@ -22,8 +40,10 @@ from sclkit import (
     valid_in_free_model,
     validates,
 )
+from sclkit import models
 from sclkit.axioms import eqfscl_axioms, eqfscl_minus
-from sclkit.generate import random_scl_term, random_substitution
+from sclkit.generate import random_scl_term, random_substitution, random_term
+from sclkit.trees import DEFAULT_NODE_CAP
 
 _AX = {e.tag: e for e in eqfscl_axioms()}
 
@@ -201,15 +221,23 @@ def reference_random_substitution(rng, variables, atoms=("a", "b", "c"), max_dep
     return out
 
 
-def reference_valid_in_free_model(eq, samples, seed):
+def reference_valid_in_free_model(eq, samples, seed, cap=DEFAULT_NODE_CAP):
     rng = Random(seed)
     names = sorted(eq.variables)
     for i in range(samples):
         subst = reference_random_substitution(rng, names)
-        lhs = format_tree(eval_tree(substitute(eq.lhs, subst)))
-        if lhs != format_tree(eval_tree(substitute(eq.rhs, subst))):
+        lhs = format_tree(eval_tree(substitute(eq.lhs, subst), cap))
+        if lhs != format_tree(eval_tree(substitute(eq.rhs, subst), cap)):
             return FreeModelCheck(False, subst, i + 1)
     return FreeModelCheck(True, None, samples)
+
+
+def _outcome(check, *args, **kwargs):
+    """What a call returns, or the type and message of the error it raises."""
+    try:
+        return check(*args, **kwargs)
+    except (SclError, TypeError) as exc:
+        return type(exc), str(exc)
 
 
 def test_random_substitution_matches_the_tree_built_reference():
@@ -230,13 +258,59 @@ def test_valid_in_free_model_matches_the_reference():
             ("$x && ($y || $z)", "$x && $y || $x && $z"),
         ]
     ]
-    witnesses = 0
+    witnesses, too_large = 0, 0
     for seed in range(40):
         for eq in laws:
             got = valid_in_free_model(eq, samples=25, seed=seed)
             assert got == reference_valid_in_free_model(eq, 25, seed)
             witnesses += got.witness is not None
+            for cap in (5, 30):
+                got = _outcome(valid_in_free_model, eq, samples=25, seed=seed, cap=cap)
+                assert got == _outcome(reference_valid_in_free_model, eq, 25, seed, cap)
+                too_large += got == (TreeTooLarge, f"tree exceeds the node cap of {cap}")
     assert witnesses >= 100
+    assert 240 <= too_large < 480  # cap 5 always stops a run; cap 30 not always
+
+
+# ``eval_in_model`` and ``validates`` as they were, one recursive evaluation
+# per side per assignment: the oracles for the column fold.
+
+
+def reference_eval_in_model(m, t, assignment=None):
+    env = assignment or {}
+    match t:
+        case Const(v):
+            return m.true_value if v else m.false_value
+        case Atom(name):
+            return m.atom_value(name)
+        case Var(name):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(f"no value for variable ${name}") from None
+        case Not(p):
+            return m.neg_table[reference_eval_in_model(m, p, env)]
+        case And(l, r):
+            return m.and_table[reference_eval_in_model(m, l, env)][reference_eval_in_model(m, r, env)]
+        case Or(l, r):
+            return m.or_table[reference_eval_in_model(m, l, env)][reference_eval_in_model(m, r, env)]
+        case Cond(_, _, _) | FullAnd(_, _) | FullOr(_, _):
+            raise ModeViolation(
+                f"{type(t).__name__} nodes have no interpretation in finite models"
+            )
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+
+
+def reference_validates(m, eq):
+    names = sorted(eq.variables)
+    checked = 0
+    for values in itertools.product(range(m.size), repeat=len(names)):
+        env = dict(zip(names, values))
+        checked += 1
+        if reference_eval_in_model(m, eq.lhs, env) != reference_eval_in_model(m, eq.rhs, env):
+            return ValidationResult(False, env, checked)
+    return ValidationResult(True, None, checked)
 
 
 def reference_check_independence():
@@ -246,15 +320,15 @@ def reference_check_independence():
     ok = True
     for entry in independence_suite():
         for ax in eqfscl_minus():
-            result = validates(entry.model, ax)
+            result = reference_validates(entry.model, ax)
             expected = ax.tag != entry.tag
             if result.valid != expected:
                 ok = False
             status = "ok" if result.valid == expected else "UNEXPECTED"
             word = "valid" if result.valid else "refuted"
             lines.append(f"{entry.model.name} {ax.tag}: {word} ({status})")
-        lhs = eval_in_model(entry.model, entry.refutation.lhs)
-        rhs = eval_in_model(entry.model, entry.refutation.rhs)
+        lhs = reference_eval_in_model(entry.model, entry.refutation.lhs)
+        rhs = reference_eval_in_model(entry.model, entry.refutation.rhs)
         if lhs == rhs:
             ok = False
         lines.append(f"{entry.model.name} refutation {entry.refutation}: {lhs} != {rhs}")
@@ -263,3 +337,111 @@ def reference_check_independence():
 
 def test_check_independence_report_is_unchanged():
     assert check_independence() == reference_check_independence()
+
+
+def _random_model(rng):
+    n = rng.randint(1, 5)
+    row = lambda: tuple(rng.randrange(n) for _ in range(n))
+    return FiniteModel(
+        name="random",
+        size=n,
+        neg_table=row(),
+        and_table=tuple(row() for _ in range(n)),
+        or_table=tuple(row() for _ in range(n)),
+        true_value=rng.randrange(n),
+        false_value=rng.randrange(n),
+        atom_values={a: rng.randrange(n) for a in "ab" if rng.random() < 0.8},
+        default_atom_value=rng.randrange(n) if rng.random() < 0.3 else None,
+    )
+
+
+def _law_side(rng, depth):
+    """An open term over !, && and || only, which every model interprets
+    when its atoms have values."""
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice([Atom("a"), Atom("b"), Atom("c"), Var("x"), Var("y"), Var("z"), TRUE, FALSE])
+    kind = rng.choice((Not, And, Or))
+    if kind is Not:
+        return Not(_law_side(rng, depth - 1))
+    return kind(_law_side(rng, depth - 1), _law_side(rng, depth - 1))
+
+
+def _random_side(rng):
+    if rng.random() < 0.6:
+        return _law_side(rng, rng.randint(0, 5))
+    # may hold Cond, FullAnd and FullOr nodes
+    return random_term(rng, max_depth=rng.randint(0, 4), mode="open", variables=("x", "y", "z"))
+
+
+@pytest.mark.parametrize("cells", [None, 3])
+def test_columns_match_the_recursive_evaluation(cells, monkeypatch):
+    if cells is not None:  # blocks of one or two assignments
+        monkeypatch.setattr(models, "_CELLS", cells)
+    rng = Random(f"columns-{cells}")
+    kinds = set()
+    for _ in range(400):
+        m = _random_model(rng)
+        eq = Equation(_random_side(rng), _random_side(rng))
+        got = _outcome(validates, m, eq)
+        assert got == _outcome(reference_validates, m, eq), (m, eq)
+        kinds.add(got[0] if isinstance(got, tuple) else got.valid)
+        bound = {v: rng.randrange(m.size) for v in sorted(eq.variables) if rng.random() < 0.8}
+        got = _outcome(eval_in_model, m, eq.lhs, bound)
+        assert got == _outcome(reference_eval_in_model, m, eq.lhs, bound), (m, eq.lhs, bound)
+        kinds.add(got[0] if isinstance(got, tuple) else "value")
+    assert kinds == {True, False, "value", ModeViolation, UninterpretedAtom, UnboundVariable}
+
+
+def test_eval_in_model_ignores_unused_and_unnamed_bindings():
+    m = _entry("F6").model
+    assert eval_in_model(m, parse("$x && a", "open"), {"x": 1, "1y": 0, 5: 2}) == 2
+    assert eval_in_model(m, parse("$x", "open"), {"x": 7}) == 7  # returned as bound
+    for bad in ("a", None, 5):
+        assert _outcome(eval_in_model, m, bad) == (TypeError, f"not a term: {bad!r}")
+
+
+_BOOL = FiniteModel("bool", 2, (1, 0), ((0, 0), (0, 1)), ((0, 1), (1, 1)), default_atom_value=1)
+
+
+def _shared(levels, base):
+    """``t = t && (t || a)``, ``levels`` deep: two distinct subterms per
+    level, but exponentially many logical nodes."""
+    for _ in range(levels):
+        base = And(base, Or(base, Atom("a")))
+    return base
+
+
+def test_models_take_deep_terms_without_recursion():
+    x = Var("x")
+    negs = reduce(lambda t, _: Not(t), range(100_000), x)
+    assert eval_in_model(_BOOL, negs, {"x": 0}) == 0
+    assert eval_in_model(_entry("F6").model, Not(negs), {"x": 2}) == 2
+    assert validates(_BOOL, Equation(negs, x)) == ValidationResult(True, None, 2)
+    chain = reduce(And, [Atom(f"a{i}") for i in range(100_000)])
+    assert eval_in_model(_BOOL, chain) == 1
+    assert validates(_BOOL, Equation(Or(x, chain), x)) == ValidationResult(False, {"x": 0}, 1)
+
+
+def test_models_evaluate_shared_subterms_once():
+    t = _shared(30, Var("x"))
+    started = time.perf_counter()
+    assert eval_in_model(_BOOL, t, {"x": 0}) == 0  # a is 1, so each level gives t back
+    assert validates(_BOOL, Equation(t, Var("x"))) == ValidationResult(True, None, 2)
+    m = _entry("F9").model
+    assert validates(m, Equation(t, Not(Not(t)))).assignments_checked == 5
+    assert time.perf_counter() - started < 5
+
+
+def test_validates_holds_a_block_of_assignments_at_a_time():
+    m = _entry("F9").model
+    side = reduce(And, [Or(Var(v), Not(Var(v))) for v in "abcdefg"])
+    tracemalloc.start()
+    try:
+        result = validates(m, Equation(side, side))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == ValidationResult(True, None, 5**7)
+    # whole columns of 78,125 values for each of the 29 distinct subterms
+    # would take over 18 MB
+    assert peak < 4_000_000

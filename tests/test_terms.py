@@ -1,3 +1,7 @@
+import time
+from functools import reduce
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -8,6 +12,7 @@ from sclkit import (
     And,
     Atom,
     Cond,
+    Const,
     Equation,
     FullAnd,
     FullOr,
@@ -23,6 +28,7 @@ from sclkit import (
     subterms,
     variables,
 )
+from sclkit.generate import random_term
 
 A, B = Atom("a"), Atom("b")
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -75,6 +81,81 @@ def test_substitute():
 def test_substitute_missing_variable():
     with pytest.raises(UnboundVariable):
         substitute(And(X, Y), {"x": A})
+
+
+def reference_substitute(t, subst):
+    """``substitute`` as it was: one recursive call per logical subterm."""
+    match t:
+        case Var(name):
+            try:
+                return subst[name]
+            except KeyError:
+                raise UnboundVariable(f"no binding for variable ${name}") from None
+        case Const(_) | Atom(_):
+            return t
+        case Not(p):
+            q = reference_substitute(p, subst)
+            return t if q is p else Not(q)
+        case And(l, r) | Or(l, r) | FullAnd(l, r) | FullOr(l, r):
+            l2, r2 = reference_substitute(l, subst), reference_substitute(r, subst)
+            return t if l2 is l and r2 is r else type(t)(l2, r2)
+        case Cond(a, g, b):
+            a2, g2, b2 = (reference_substitute(x, subst) for x in (a, g, b))
+            return t if a2 is a and g2 is g and b2 is b else Cond(a2, g2, b2)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+
+
+def _substituted(substitution, t, subst):
+    try:
+        return substitution(t, subst)
+    except (UnboundVariable, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_substitute_matches_the_recursive_fold():
+    rng = Random("substitute")
+    names = ("u", "v", "w", "x", "y")
+    unbound = 0
+    for _ in range(2_000):
+        t = random_term(rng, max_depth=rng.randint(0, 6), mode="open", variables=names)
+        subst = {v: random_term(rng, max_depth=2) for v in names if rng.random() < 0.7}
+        got = _substituted(substitute, t, subst)
+        assert got == _substituted(reference_substitute, t, subst), (t, subst)
+        unbound += isinstance(got, tuple)
+    assert 200 < unbound < 1_800
+    assert _substituted(substitute, "x", {}) == (TypeError, "not a term: 'x'")
+
+
+def _shared_template(levels):
+    """``t = t && (t || a)`` on ``$x``: two distinct subterms per level,
+    exponentially many logical ones."""
+    t = X
+    for _ in range(levels):
+        t = And(t, Or(t, A))
+    return t
+
+
+def test_variables_and_substitute_visit_shared_subterms_once():
+    t = _shared_template(30)
+    started = time.perf_counter()
+    assert variables(t) == {"x"}
+    assert Equation(t, Y).variables == {"x", "y"}
+    closed = substitute(t, {"x": Not(B)})
+    assert time.perf_counter() - started < 5
+    expected = Not(B)
+    for _ in range(30):
+        expected = And(expected, Or(expected, A))
+    assert closed is expected
+
+
+def test_substitute_takes_deep_terms_without_recursion():
+    chain = reduce(lambda acc, i: And(X if i % 2 else A, acc), range(100_000), Y)
+    closed = substitute(chain, {"x": Not(B), "y": TRUE})
+    assert closed is reduce(lambda acc, i: And(Not(B) if i % 2 else A, acc), range(100_000), TRUE)
+    assert variables(chain) == {"x", "y"}
+    with pytest.raises(UnboundVariable, match=r"\$y"):
+        substitute(chain, {"x": B})
 
 
 def test_expand_full_clauses():
