@@ -37,10 +37,11 @@ from sclkit import (
     model_to_json,
     parse,
     substitute,
+    subterms,
     valid_in_free_model,
     validates,
 )
-from sclkit import models
+from sclkit import generate, models
 from sclkit.axioms import eqfscl_axioms, eqfscl_minus
 from sclkit.generate import random_scl_term, random_substitution, random_term
 from sclkit.trees import DEFAULT_NODE_CAP
@@ -240,6 +241,13 @@ def _outcome(check, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def test_law_check_layers_stay_reachable_by_name():
+    """The benchmark's traced law-check run wraps these module attributes."""
+    assert models.eval_tree is eval_tree and generate.eval_tree is eval_tree
+    assert models.substitute is substitute
+    assert models.random_substitution is random_substitution
+
+
 def test_random_substitution_matches_the_tree_built_reference():
     for seed in range(200):
         rng, ref = Random(seed), Random(seed)
@@ -303,7 +311,7 @@ def reference_eval_in_model(m, t, assignment=None):
 
 
 def reference_validates(m, eq):
-    names = sorted(eq.variables)
+    names = sorted({s.name for side in (eq.lhs, eq.rhs) for s in subterms(side) if isinstance(s, Var)})
     checked = 0
     for values in itertools.product(range(m.size), repeat=len(names)):
         env = dict(zip(names, values))
