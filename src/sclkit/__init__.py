@@ -80,7 +80,7 @@ from .normalize import (
     nf,
     or_nf,
 )
-from .parser import parse, tokenize
+from .parser import parse
 from .terms import (
     FALSE,
     TRUE,
@@ -100,7 +100,6 @@ from .terms import (
     dual,
     expand_full,
     format_term,
-    subterms,
     substitute,
     term_from_json,
     term_to_json,

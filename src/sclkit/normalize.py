@@ -167,6 +167,8 @@ def nf(t: Term, cap: int | None = DEFAULT_NODE_CAP) -> Term:
                 result = _checked(helpers.neg_nf(done[s.arg]), cap)
             case And():
                 result = _checked(helpers.and_nf(done[s.left], done[s.right]), cap)
+            case Or() if classify(done[s.left]) is SnfClass.T_TERM:
+                result = _checked(done[s.left], cap)  # P || Q has the tree of a T-term P
             case Or():
                 a, b = helpers.neg_nf(done[s.left]), helpers.neg_nf(done[s.right])
                 result = _checked(helpers.neg_nf(helpers.and_nf(a, b)), cap)
@@ -190,6 +192,8 @@ class _Helpers:
     finds every repeated call; the memos die with the object, and nothing
     outlives the call that made it.  A memo is read and written inside the
     helper itself, so a call takes one stack frame, as without the memo.
+    A normal form is the one of its tree and negation is an involution, so
+    each negation is entered both ways round.
     """
 
     __slots__ = ("negs", "star_negs", "ands", "tterms", "fterms", "tstars")
@@ -201,7 +205,7 @@ class _Helpers:
     def neg_nf(self, t: Term) -> Term:
         if (result := self.negs.get(t)) is not None:
             return result
-        match classify(t):
+        match t._snf_cat or classify(t):
             case SnfClass.T_TERM if t is TRUE:
                 result = FALSE
             case SnfClass.T_TERM:
@@ -216,13 +220,13 @@ class _Helpers:
                 result = And(t.left, self.neg_star(t.right))
             case _:
                 raise _reject(t, "term in normal form")
-        self.negs[t] = result
+        self.negs[t], self.negs[result] = result, t
         return result
 
     def neg_star(self, t: Term) -> Term:
         if (result := self.star_negs.get(t)) is not None:
             return result
-        match classify(t):
+        match t._snf_cat or classify(t):
             case SnfClass.L_TERM:
                 head, pt, qf = t.left.left, t.left.right, t.right
                 flipped = Not(head) if isinstance(head, Atom) else head.arg
@@ -233,13 +237,13 @@ class _Helpers:
                 result = And(self.neg_star(t.left), self.neg_star(t.right))
             case _:
                 raise _reject(t, "*-term")
-        self.star_negs[t] = result
+        self.star_negs[t], self.star_negs[result] = result, t
         return result
 
     def and_nf(self, p: Term, q: Term) -> Term:
         if (result := self.ands.get((p, q))) is not None:
             return result
-        pc, qc = classify(p), classify(q)
+        pc, qc = p._snf_cat or classify(p), q._snf_cat or classify(q)
         if not in_normal_form(qc):
             raise _reject(q, "term in normal form")
         match pc:
@@ -270,9 +274,9 @@ class _Helpers:
     def and_star_tterm(self, s: Term, r: Term) -> Term:
         if (result := self.tterms.get((s, r))) is not None:
             return result
-        if classify(r) is not SnfClass.T_TERM:
+        if (r._snf_cat or classify(r)) is not SnfClass.T_TERM:
             raise _reject(r, "T-term")
-        match classify(s):
+        match s._snf_cat or classify(s):
             case SnfClass.L_TERM:
                 # (^a && p) || q  ->  (^a && (p . r)) || q
                 result = Or(And(s.left.left, self.and_nf(s.left.right, r)), s.right)
@@ -288,9 +292,9 @@ class _Helpers:
     def and_star_fterm(self, s: Term, r: Term) -> Term:
         if (result := self.fterms.get((s, r))) is not None:
             return result
-        if classify(r) is not SnfClass.F_TERM:
+        if (r._snf_cat or classify(r)) is not SnfClass.F_TERM:
             raise _reject(r, "F-term")
-        match classify(s):
+        match s._snf_cat or classify(s):
             case SnfClass.L_TERM:
                 head, pt, qf = s.left.left, s.left.right, s.right
                 if isinstance(head, Atom):
@@ -312,10 +316,10 @@ class _Helpers:
     def and_star_tstar(self, s: Term, q: Term) -> Term:
         if (result := self.tstars.get((s, q))) is not None:
             return result
-        if classify(q) is not SnfClass.T_STAR_TERM:
+        if (q._snf_cat or classify(q)) is not SnfClass.T_STAR_TERM:
             raise _reject(q, "T-*-term")
         qt, qs = q.left, q.right
-        match classify(qs):
+        match qs._snf_cat or classify(qs):
             case SnfClass.L_TERM | SnfClass.D_TERM:
                 result = And(self.and_star_tterm(s, qt), qs)
             case SnfClass.C_TERM:

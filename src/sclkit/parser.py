@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parser for the ASCII expression grammar.
+"""One-pass, non-recursive parser for the ASCII expression grammar.
 
 Precedence, tightest first: ``!``, then ``&&``/``&.&``, then ``||``/``|.|``
 (binary connectives are left-associative), then the non-associative
@@ -7,6 +7,8 @@ conditional ``x <| y |> z``.  Identifiers are atoms; ``$name`` is a variable
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import ParseError
 from .terms import (
@@ -26,139 +28,128 @@ from .terms import (
     check_mode,
 )
 
-_PUNCT = ("&.&", "&&", "|.|", "||", "<|", "|>", "!", "(", ")")
+# A token is a connective, a word (letters, digits and underscores in any
+# script, so that a name the ``terms`` rule rejects is one token), ``$``
+# with the word after it, or any other single character.
+_TOKEN = re.compile(r"\s*(&\.&|&&|\|\.\||\|\||<\||\|>|\$?\w+|\S)")
+_PUNCT = frozenset(("&.&", "&&", "|.|", "||", "<|", "|>", "!", "(", ")"))
+_BINARY = {"&&": (2, And), "&.&": (2, FullAnd), "||": (1, Or), "|.|": (1, FullOr)}
 
-
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Split ``text`` into (kind, lexeme, position) triples.
-
-    Kinds are ``ident``, ``var``, one of the punctuation lexemes, and a
-    final ``end`` marker.  Names follow the rule of term atoms and
-    variables; a word that breaks it raises ``ParseError``.
-    """
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isalpha():
-            j = _word_end(text, i)
-            word = text[i:j]
-            if word not in _RESERVED and not _is_name(word):
-                raise ParseError(f"invalid atom name {word!r}", i)
-            tokens.append(("ident", word, i))
-            i = j
-            continue
-        if c == "$":
-            if i + 1 >= n or not text[i + 1].isalpha():
-                raise ParseError("expected identifier after '$'", i)
-            j = _word_end(text, i + 1)
-            name = text[i + 1 : j]
-            if not _is_name(name):
-                raise ParseError(f"invalid variable name {name!r}", i)
-            tokens.append(("var", name, i))
-            i = j
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append((punct, punct, i))
-                i += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
-def _word_end(text: str, i: int) -> int:
-    """The end of the word at ``i``: letters, digits and underscores, in
-    any script, so that a name the ``terms`` rule rejects is one token."""
-    while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-        i += 1
-    return i
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return self.next()
-
-    def parse_expr(self) -> Term:
-        left = self.parse_or()
-        if self.peek() != "<|":
-            return left
-        self.next()
-        guard = self.parse_or()
-        self.expect("|>")
-        orelse = self.parse_or()
-        if self.peek() == "<|":
-            tok = self.tokens[self.pos]
-            raise ParseError(
-                "conditional is non-associative; parenthesize nested conditionals",
-                tok[2],
-            )
-        return Cond(left, guard, orelse)
-
-    def parse_or(self) -> Term:
-        left = self.parse_and()
-        while self.peek() in ("||", "|.|"):
-            op = self.next()[0]
-            right = self.parse_and()
-            left = Or(left, right) if op == "||" else FullOr(left, right)
-        return left
-
-    def parse_and(self) -> Term:
-        left = self.parse_unary()
-        while self.peek() in ("&&", "&.&"):
-            op = self.next()[0]
-            right = self.parse_unary()
-            left = And(left, right) if op == "&&" else FullAnd(left, right)
-        return left
-
-    def parse_unary(self) -> Term:
-        if self.peek() == "!":
-            self.next()
-            return Not(self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> Term:
-        kind, lexeme, pos = self.next()
-        if kind == "ident":
-            if lexeme == "T":
-                return TRUE
-            if lexeme == "F":
-                return FALSE
-            return Atom(lexeme)
-        if kind == "var":
-            return Var(lexeme)
-        if kind == "(":
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        raise ParseError(f"unexpected {lexeme or 'end of input'!r}", pos)
+# Entries of the operator stack below the current operand: a binary
+# connective (its precedence, class and left operand), or, at precedence 0
+# so that no reduction passes it, "!", "(", the "<|" of a conditional (with
+# its left part) or its "|>" (with its left part and guard).
+_NOT, _OPEN = (0, "!"), (0, "(")
 
 
 def parse(text: str, mode: str = "enriched") -> Term:
-    """Parse ``text`` into a term, then enforce the node kinds of ``mode``."""
-    parser = _Parser(tokenize(text))
-    term = parser.parse_expr()
-    kind, lexeme, pos = parser.tokens[parser.pos]
-    if kind != "end":
-        raise ParseError(f"unexpected trailing {lexeme!r}", pos)
-    return check_mode(term, mode)
+    """Parse ``text`` into a term, then enforce the node kinds of ``mode``.
+
+    The tokens are taken by one ``findall`` and read once, left to right,
+    against an explicit operator stack, so nesting depth costs no stack
+    frames.  Each distinct word is checked and built once per call.
+    Raises ``ParseError`` at the first token that is wrong; a malformed
+    token anywhere in ``text`` is reported before any error of syntax.
+    """
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of the input
+    operands = {"T": TRUE, "F": FALSE}
+    stack, i = [], 0
+    while True:
+        # an operand: any number of "!" and "(", then a name
+        tok = tokens[i]
+        i += 1
+        t = operands.get(tok)
+        if t is None:
+            if tok == "!":
+                stack.append(_NOT)
+                continue
+            if tok == "(":
+                stack.append(_OPEN)
+                continue
+            t = operands[tok] = _operand(text, tokens, i - 1)
+        while True:
+            while stack and stack[-1] is _NOT:
+                stack.pop()
+                t = Not(t)
+            # an operator, or the end of the operand's parenthesis or input
+            tok = tokens[i]
+            i += 1
+            binary = _BINARY.get(tok)
+            prec = binary[0] if binary else 1
+            while stack and stack[-1][0] >= prec:
+                _, cls, left = stack.pop()
+                t = cls(left, t)
+            if binary:
+                stack.append((*binary, t))
+                break
+            top = stack[-1][1] if stack else None
+            if top == "<|":
+                if tok != "|>":
+                    _fail(text, tokens, i - 1, f"expected '|>', found {_shown(tok)!r}")
+                stack[-1] = (0, "|>", stack[-1][2], t)
+                break
+            if tok == "<|":
+                if top == "|>":
+                    _fail(text, tokens, i - 1, "conditional is non-associative; parenthesize nested conditionals")
+                stack.append((0, "<|", t))
+                break
+            if top == "|>":
+                _, _, then, guard = stack.pop()
+                t = Cond(then, guard, t)
+            if not stack:
+                if tok:
+                    _fail(text, tokens, i - 1, f"unexpected trailing {_shown(tok)!r}")
+                return check_mode(t, mode)
+            if tok != ")":
+                _fail(text, tokens, i - 1, f"expected ')', found {_shown(tok)!r}")
+            stack.pop()
+
+
+def _operand(text: str, tokens: list[str], i: int) -> Term:
+    """The atom or variable that token ``i`` names; else raise the error
+    of the first malformed token from ``i`` on, or of token ``i``."""
+    tok = tokens[i]
+    if _is_name(tok):
+        return Atom(tok)
+    if tok[:1] == "$" and _is_name(tok[1:]):
+        return Var(tok[1:])
+    _fail(text, tokens, i, f"unexpected {_shown(tok)!r}")
+
+
+def _shown(tok: str) -> str:
+    """A token as error messages name it: a variable without its ``$``."""
+    return (tok[1:] if tok[:1] == "$" else tok) or "end of input"
+
+
+def _fail(text: str, tokens: list[str], i: int, message: str):
+    """Raise ``message`` at token ``i``, unless a token from ``i`` on is
+    malformed: then raise the error of the first such token."""
+    for j in range(i, len(tokens)):
+        tok = tokens[j]
+        if not tok or tok in _PUNCT:
+            continue
+        if tok[0] == "$":
+            if not tok[1:2].isalpha():
+                message = "expected identifier after '$'"
+            elif not _is_name(tok[1:]):
+                message = f"invalid variable name {tok[1:]!r}"
+            else:
+                continue
+        elif not tok[0].isalpha():
+            message = f"unexpected character {tok[0]!r}"
+        elif tok not in _RESERVED and not _is_name(tok):
+            message = f"invalid atom name {tok!r}"
+        else:
+            continue
+        i = j
+        break
+    raise ParseError(message, _start(text, i))
+
+
+def _start(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts, or the end of the input."""
+    for j, m in enumerate(_TOKEN.finditer(text)):
+        if j == i:
+            return m.start(1)
+    return len(text)

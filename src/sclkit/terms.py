@@ -11,10 +11,10 @@ structure, so structurally equal terms are one object, ``==`` and ``hash``
 are identity, and every builder shares subterms.  A term is immutable
 (assigning or deleting a field raises ``AttributeError``; copies and
 pickles give back the interned term) and caches its node count (logical,
-not of the object graph) and, in a slot written once by
-``normalize.classify``, its normal-form category.  ``unique_table`` is the
-one interning primitive; ``trees.Node`` is built on it too.  Operations are
-pure functions.
+not of the object graph), the mask of the node classes it contains and, in
+a slot written once by ``normalize.classify``, its normal-form category.
+``unique_table`` is the one interning primitive; ``trees.Node`` is built on
+it too.  Operations are pure functions.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ _table, _enter = unique_table()
 
 
 class _Fields(Term):
-    __slots__ = ("node_count", "_snf_cat", "__weakref__")
+    __slots__ = ("node_count", "_kinds", "_snf_cat", "__weakref__")
 
 
 class _ConstFields(_Fields):
@@ -162,6 +162,7 @@ class _CondFields(_Fields):
 class Const(_ConstFields, Interned):
     __slots__ = ()
     __match_args__ = ("value",)
+    _kind = 1  # each term class has one bit; ``_kinds`` ors those of a term's nodes
 
     def __new__(cls, value: bool) -> Const:
         key = (cls, value)
@@ -169,7 +170,7 @@ class Const(_ConstFields, Interned):
         if ref is not None and (t := ref()) is not None:
             return t
         t = object.__new__(_ConstFields)
-        t.value, t.node_count, t._snf_cat = value, 1, None
+        t.value, t.node_count, t._kinds, t._snf_cat = value, 1, cls._kind, None
         t.__class__ = cls
         return _enter(key, t)
 
@@ -190,24 +191,25 @@ class _Name(_NameFields, Interned):
             return t
         _check_name(name, cls._what)
         t = object.__new__(_NameFields)
-        t.name, t.node_count, t._snf_cat = name, 1, None
+        t.name, t.node_count, t._kinds, t._snf_cat = name, 1, cls._kind, None
         t.__class__ = cls
         return _enter(key, t)
 
 
 class Atom(_Name):
     __slots__ = ()
-    _what = "atom"
+    _what, _kind = "atom", 2
 
 
 class Var(_Name):
     __slots__ = ()
-    _what = "variable"
+    _what, _kind = "variable", 4
 
 
 class Not(_NotFields, Interned):
     __slots__ = ()
     __match_args__ = ("arg",)
+    _kind = 8
 
     def __new__(cls, arg: Term) -> Not:
         key = (cls, arg)
@@ -215,7 +217,7 @@ class Not(_NotFields, Interned):
         if ref is not None and (t := ref()) is not None:
             return t
         t = object.__new__(_NotFields)
-        t.arg, t.node_count, t._snf_cat = arg, 1 + arg.node_count, None
+        t.arg, t.node_count, t._kinds, t._snf_cat = arg, 1 + arg.node_count, cls._kind | arg._kinds, None
         t.__class__ = cls
         return _enter(key, t)
 
@@ -232,29 +234,35 @@ class _Binary(_BinaryFields, Interned):
         t = object.__new__(_BinaryFields)
         t.left, t.right, t._snf_cat = left, right, None
         t.node_count = 1 + left.node_count + right.node_count
+        t._kinds = cls._kind | left._kinds | right._kinds
         t.__class__ = cls
         return _enter(key, t)
 
 
 class And(_Binary):
     __slots__ = ()
+    _kind = 16
 
 
 class Or(_Binary):
     __slots__ = ()
+    _kind = 32
 
 
 class FullAnd(_Binary):
     __slots__ = ()
+    _kind = 64
 
 
 class FullOr(_Binary):
     __slots__ = ()
+    _kind = 128
 
 
 class Cond(_CondFields, Interned):
     __slots__ = ()
     __match_args__ = ("then", "guard", "orelse")
+    _kind = 256
 
     def __new__(cls, then: Term, guard: Term, orelse: Term) -> Cond:
         key = (cls, then, guard, orelse)
@@ -264,6 +272,7 @@ class Cond(_CondFields, Interned):
         t = object.__new__(_CondFields)
         t.then, t.guard, t.orelse, t._snf_cat = then, guard, orelse, None
         t.node_count = 1 + then.node_count + guard.node_count + orelse.node_count
+        t._kinds = cls._kind | then._kinds | guard._kinds | orelse._kinds
         t.__class__ = cls
         return _enter(key, t)
 
@@ -277,15 +286,6 @@ def children(t: Term) -> tuple[Term, ...]:
     if cls is Cond:
         return (t.then, t.guard, t.orelse)
     return ()
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """Yield every subterm of ``t`` in preorder (including ``t`` itself)."""
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        yield s
-        stack.extend(reversed(children(s)))
 
 
 def postorder(t: Term, kids: Callable[[Term], tuple[Term, ...]] = children) -> Iterator[Term]:
@@ -315,49 +315,56 @@ def variables(t: Term) -> frozenset[str]:
     return frozenset(s.name for s in postorder(t) if isinstance(s, Var))
 
 
-_MODE_NODES: dict[str, tuple[type, ...]] = {
-    "scl": (Const, Atom, Not, And, Or, FullAnd, FullOr),
-    "cp": (Const, Atom, Cond),
-    "enriched": (Const, Atom, Not, And, Or, FullAnd, FullOr, Cond),
-    "open": (Const, Atom, Var, Not, And, Or, FullAnd, FullOr, Cond),
+_SCL = Const._kind | Atom._kind | Not._kind | And._kind | Or._kind | FullAnd._kind | FullOr._kind
+_MODE_KINDS = {
+    "scl": _SCL,
+    "cp": Const._kind | Atom._kind | Cond._kind,
+    "enriched": _SCL | Cond._kind,
+    "open": _SCL | Cond._kind | Var._kind,
 }
+_FULL = FullAnd._kind | FullOr._kind
 
 
 def check_mode(t: Term, mode: str) -> Term:
-    """Raise ModeViolation unless every node of ``t`` is admissible in ``mode``."""
-    if mode not in _MODE_NODES:
+    """Raise ModeViolation unless every node of ``t`` is admissible in ``mode``.
+
+    One test of the node classes ``t`` contains; on a failure, the first
+    inadmissible node in preorder is found by descending into the first
+    child that contains one.
+    """
+    if mode not in _MODE_KINDS:
         raise ValueError(f"unknown mode: {mode!r}")
-    allowed = _MODE_NODES[mode]
-    for s in subterms(t):
-        if not isinstance(s, allowed):
-            raise ModeViolation(
-                f"{type(s).__name__} node not allowed in mode {mode!r}"
-            )
+    bad = ~_MODE_KINDS[mode]
+    if getattr(t, "_kinds", bad) & bad:
+        while getattr(type(t), "_kind", bad) & bad == 0:
+            t = next(s for s in children(t) if s._kinds & bad)
+        raise ModeViolation(f"{type(t).__name__} node not allowed in mode {mode!r}")
     return t
+
+
+_DUAL = {And: Or, Or: And, FullAnd: FullOr, FullOr: FullAnd}
 
 
 def dual(t: Term) -> Term:
     """Swap T with F and each conjunction with the matching disjunction.
 
     Atoms and variables are fixed points; the mapping is an involution.
+    One fold over the distinct subterms, without recursion.
     """
-    match t:
-        case Const(v):
-            return Const(not v)
-        case Atom(_) | Var(_):
-            return t
-        case Not(p):
-            return Not(dual(p))
-        case And(l, r):
-            return Or(dual(l), dual(r))
-        case Or(l, r):
-            return And(dual(l), dual(r))
-        case FullAnd(l, r):
-            return FullOr(dual(l), dual(r))
-        case FullOr(l, r):
-            return FullAnd(dual(l), dual(r))
-        case _:
+    new = {}
+    for s in postorder(t):
+        cls = type(s)
+        if cls is Not:
+            new[s] = Not(new[s.arg])
+        elif cls in _DUAL:
+            new[s] = _DUAL[cls](new[s.left], new[s.right])
+        elif cls is Const:
+            new[s] = Const(not s.value)
+        elif cls is Atom or cls is Var:
+            new[s] = s
+        else:
             raise ModeViolation("dual is not defined on conditional nodes")
+    return new[t]
 
 
 def substitute(t: Term, subst: Mapping[str, Term]) -> Term:
@@ -393,29 +400,26 @@ def expand_full(t: Term) -> Term:
     """Rewrite every full-sequential connective into short-circuit form.
 
     ``x &.& y`` becomes ``(x || (y && F)) && y`` and ``x |.| y`` becomes
-    ``(x && (y || T)) || y``, bottom-up.  Shared sub-results keep the object
-    graph linear in the input.
+    ``(x && (y || T)) || y``, bottom-up.  A term without full connectives
+    is returned as it is; the others are one fold over the distinct
+    subterms that hold full connectives, without recursion, so shared
+    sub-results keep the object graph linear in the input.
     """
-    match t:
-        case Const(_) | Atom(_) | Var(_):
-            return t
-        case Not(p):
-            q = expand_full(p)
-            return t if q is p else Not(q)
-        case FullAnd(l, r):
-            l2, r2 = expand_full(l), expand_full(r)
-            return And(Or(l2, And(r2, FALSE)), r2)
-        case FullOr(l, r):
-            l2, r2 = expand_full(l), expand_full(r)
-            return Or(And(l2, Or(r2, TRUE)), r2)
-        case And(l, r) | Or(l, r):
-            l2, r2 = expand_full(l), expand_full(r)
-            return t if l2 is l and r2 is r else type(t)(l2, r2)
-        case Cond(a, g, b):
-            a2, g2, b2 = (expand_full(x) for x in (a, g, b))
-            return t if a2 is a and g2 is g and b2 is b else Cond(a2, g2, b2)
-        case _:  # pragma: no cover
-            raise TypeError(f"not a term: {t!r}")
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+    if not t._kinds & _FULL:
+        return t
+    new = {}
+    for s in postorder(t, lambda s: tuple(k for k in children(s) if k._kinds & _FULL)):
+        cls = type(s)
+        kids = [new.get(k, k) for k in children(s)]
+        if cls is FullAnd:
+            new[s] = And(Or(kids[0], And(kids[1], FALSE)), kids[1])
+        elif cls is FullOr:
+            new[s] = Or(And(kids[0], Or(kids[1], TRUE)), kids[1])
+        else:
+            new[s] = cls(*kids)
+    return new[t]
 
 
 # Rendering levels; a child is parenthesized when its level is below the

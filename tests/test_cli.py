@@ -270,13 +270,36 @@ def test_names_outside_the_term_rule_are_parse_errors(capsys, argv, code):
         ["a &&", "a"],
         ["a", "$x"],
         ["(a || b) && (a || b) && (a || b)", "a", "--cap", "9"],
-        ["!" * 5000 + "a", "a"],
     ],
 )
 def test_eq_exits_2_on_every_error(capsys, argv):
     code, out, err = run(capsys, "eq", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_eq_takes_deeply_nested_negation(capsys):
+    # the parser and the expansion use no stack frame per level
+    for engine in ("tree", "nf", "cp"):
+        assert run(capsys, "eq", "!" * 5000 + "a", "a", "--engine", engine) == (0, "EQUAL\n", "")
+        assert run(capsys, "eq", "!" * 5001 + "a", "a", "--engine", engine) == (1, "INEQUAL\n", "")
+
+
+def test_long_chains_go_through_every_text_subcommand(capsys):
+    n = 10_000
+    chain = " && ".join(f"a{i}" for i in range(n))
+    expected = {
+        "se": "(" * n + "T" + "".join(f" <a{i}> F)" for i in reversed(range(n))),
+        "basic": "(" * (n - 1) + "T" + "".join(f" <| a{i} |> F)" for i in reversed(range(1, n))) + " <| a0 |> F",
+        "cp": "".join(f"a{i} <| (" for i in reversed(range(2, n))) + "a1 <| a0 |> F" + ") |> F" * (n - 2),
+        "full": chain,
+    }
+    for name, argv in [("se", ["se"]), ("basic", ["basic"]), ("cp", ["translate", "--to", "cp"]),
+                       ("full", ["translate", "--to", "full"])]:
+        assert run(capsys, *argv, chain) == (0, expected[name] + "\n", ""), name
+    for engine in ("tree", "nf", "cp"):
+        assert run(capsys, "eq", chain, chain + " && T", "--engine", engine) == (0, "EQUAL\n", "")
+        assert run(capsys, "eq", chain, chain[:-5] + "b", "--engine", engine) == (1, "INEQUAL\n", "")
 
 
 _SELECTOR = {"cd": (cd, "ccd"), "dd": (dd, "cdd"), "tsd": (tsd, "ctsd")}

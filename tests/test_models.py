@@ -37,13 +37,13 @@ from sclkit import (
     model_to_json,
     parse,
     substitute,
-    subterms,
     valid_in_free_model,
     validates,
 )
 from sclkit import generate, models
 from sclkit.axioms import eqfscl_axioms, eqfscl_minus
 from sclkit.generate import random_scl_term, random_substitution, random_term
+from sclkit.terms import postorder
 from sclkit.trees import DEFAULT_NODE_CAP
 
 _AX = {e.tag: e for e in eqfscl_axioms()}
@@ -311,7 +311,7 @@ def reference_eval_in_model(m, t, assignment=None):
 
 
 def reference_validates(m, eq):
-    names = sorted({s.name for side in (eq.lhs, eq.rhs) for s in subterms(side) if isinstance(s, Var)})
+    names = sorted({s.name for side in (eq.lhs, eq.rhs) for s in postorder(side) if isinstance(s, Var)})
     checked = 0
     for values in itertools.product(range(m.size), repeat=len(names)):
         env = dict(zip(names, values))

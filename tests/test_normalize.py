@@ -398,6 +398,18 @@ def test_helpers_match_the_unmemoized_reference(seed):
             )
 
 
+def test_negation_is_an_involution_on_normal_forms():
+    # the helpers enter each negation both ways round in their memos; a
+    # fresh helper per call checks that the reverse entry is the negation
+    rng = random.Random(11)
+    for _ in range(3_000):
+        t = random_snf_term(rng, budget=rng.randint(1, 6), max_depth=rng.randint(1, 3))
+        assert neg_nf(neg_nf(t)) is t, t
+    for _ in range(2_000):
+        s = random_star_term(rng, budget=rng.randint(1, 6), max_depth=rng.randint(1, 3))
+        assert neg_star(neg_star(s)) is s, s
+
+
 def test_nf_is_linear_in_distinct_subterms():
     # each level holds the one below twice: the logical size of the term and
     # of its normal form doubles per level, the object graphs grow by a

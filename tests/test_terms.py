@@ -16,19 +16,21 @@ from sclkit import (
     Equation,
     FullAnd,
     FullOr,
+    MODES,
     ModeViolation,
     Not,
     Or,
     UnboundVariable,
     Var,
+    check_mode,
     dual,
     expand_full,
     parse,
     substitute,
-    subterms,
     variables,
 )
 from sclkit.generate import random_term
+from sclkit.terms import postorder
 
 A, B = Atom("a"), Atom("b")
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -182,8 +184,102 @@ def _dag_size(t):
 @given(_scl_terms)
 def test_expand_full_removes_full_nodes_and_stays_linear(t):
     out = expand_full(t)
-    assert not any(isinstance(s, (FullAnd, FullOr)) for s in subterms(out))
+    assert not any(isinstance(s, (FullAnd, FullOr)) for s in postorder(out))
     assert _dag_size(out) <= 4 * _dag_size(t)
+
+
+def reference_expand_full(t):
+    match t:
+        case Const(_) | Atom(_) | Var(_):
+            return t
+        case Not(p):
+            return Not(reference_expand_full(p))
+        case FullAnd(l, r):
+            l2, r2 = reference_expand_full(l), reference_expand_full(r)
+            return And(Or(l2, And(r2, FALSE)), r2)
+        case FullOr(l, r):
+            l2, r2 = reference_expand_full(l), reference_expand_full(r)
+            return Or(And(l2, Or(r2, TRUE)), r2)
+        case And(l, r) | Or(l, r):
+            return type(t)(reference_expand_full(l), reference_expand_full(r))
+        case Cond(a, g, b):
+            return Cond(*map(reference_expand_full, (a, g, b)))
+
+
+_REFERENCE_DUAL = {And: Or, Or: And, FullAnd: FullOr, FullOr: FullAnd}
+
+
+def reference_dual(t):
+    match t:
+        case Const(v):
+            return Const(not v)
+        case Atom(_) | Var(_):
+            return t
+        case Not(p):
+            return Not(reference_dual(p))
+        case And(l, r) | Or(l, r) | FullAnd(l, r) | FullOr(l, r):
+            return _REFERENCE_DUAL[type(t)](reference_dual(l), reference_dual(r))
+        case _:
+            raise ModeViolation("dual is not defined on conditional nodes")
+
+
+def _outcome(fn, t):
+    try:
+        return fn(t)
+    except ModeViolation as exc:
+        return ModeViolation, str(exc)
+
+
+def test_expand_full_and_dual_match_the_recursive_reference():
+    rng = Random(5)
+    for _ in range(3_000):
+        t = random_term(rng, max_depth=rng.randint(0, 6), mode=rng.choice(MODES), variables=("x",))
+        out = expand_full(t)
+        assert out is reference_expand_full(t), t
+        if not t._kinds & (FullAnd._kind | FullOr._kind):
+            assert out is t
+        assert _outcome(dual, t) == _outcome(reference_dual, t), t
+    with pytest.raises(TypeError, match="not a term: 'x'"):
+        expand_full("x")
+
+
+def test_expand_full_and_dual_take_deep_terms_without_recursion():
+    deep = 100_000
+    nots = reduce(lambda acc, _: Not(acc), range(deep), FullAnd(A, B))
+    expected = reduce(lambda acc, _: Not(acc), range(deep), expand_full(FullAnd(A, B)))
+    assert expand_full(nots) is expected
+    assert dual(nots) is reduce(lambda acc, _: Not(acc), range(deep), FullOr(A, B))
+    chain = reduce(lambda acc, i: FullAnd(acc, Atom(f"a{i}")), range(1, 10_000), Atom("a0"))
+    assert not expand_full(chain)._kinds & (FullAnd._kind | FullOr._kind)
+    assert dual(dual(chain)) is chain
+    with pytest.raises(ModeViolation, match="conditional"):
+        dual(Not(reduce(lambda acc, _: Not(acc), range(deep), Cond(A, B, A))))
+
+
+def test_mode_checks_expansion_and_dual_visit_shared_subterms_once():
+    t = _shared_template(30)
+    full = A
+    for _ in range(30):
+        full = FullAnd(full, FullOr(full, X))
+    for fn, args in [
+        (check_mode, (t, "open")),
+        (check_mode, (Not(Cond(t, full, A)), "open")),
+        (expand_full, (full,)),
+        (expand_full, (Cond(t, X, A),)),
+        (dual, (t,)),
+        (dual, (full,)),
+    ]:
+        started = time.perf_counter()
+        fn(*args)
+        assert time.perf_counter() - started < 0.05, fn.__name__
+    with pytest.raises(ModeViolation, match="Var node not allowed in mode 'scl'"):
+        check_mode(And(Or(B, full), t), "scl")
+    with pytest.raises(ModeViolation, match="FullAnd node not allowed in mode 'cp'"):
+        check_mode(Cond(A, full, t), "cp")
+    expected = X
+    for _ in range(30):
+        expected = Or(expected, And(expected, A))
+    assert dual(t) is expected
 
 
 def test_atom_and_variable_name_rules():
