@@ -6,7 +6,26 @@ D1..D7) used by reports and tests.
 
 from __future__ import annotations
 
-from .terms import FALSE, TRUE, And, Atom, Cond, Equation, Not, Or, Var, dual
+from dataclasses import dataclass
+
+from .terms import FALSE, TRUE, And, Atom, Cond, Not, Or, Term, Var, dual, format_term, variables
+
+
+@dataclass(frozen=True)
+class Equation:
+    """A pair of (possibly open) terms with a stable tag for reporting."""
+
+    lhs: Term
+    rhs: Term
+    tag: str = ""
+
+    @property
+    def variables(self) -> frozenset[str]:
+        return variables(self.lhs) | variables(self.rhs)
+
+    def __str__(self) -> str:
+        return f"{format_term(self.lhs)} = {format_term(self.rhs)}"
+
 
 _X, _Y, _Z, _U, _V, _W = (Var(n) for n in "xyzuvw")
 

@@ -13,25 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .cp import basic_form, decide_eq_cp, scl_to_cp
-from .decompose import enumerate_candidates, select_decomposition
-from .errors import SclError
-from .generate import random_scl_term
-from .inverse import invert
-from .models import independence_rows, model_to_json
-from .normalize import classify, decide_eq, nf
-from .parser import parse
-from .terms import expand_full, format_term, term_to_json
-from .trees import (
-    DEFAULT_NODE_CAP,
-    Leaf,
-    Tree,
-    eval_tree,
-    format_tree,
-    parse_tree,
-    tree_from_json,
-    tree_to_json,
-)
+from .errors import DEFAULT_NODE_CAP, SclError
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -51,7 +33,9 @@ def _node_cap(text: str) -> int:
     return cap
 
 
-def _read_tree(text: str) -> Tree:
+def _read_tree(text: str):
+    from .trees import parse_tree, tree_from_json
+
     text = text.strip()
     if text.startswith("{"):
         return tree_from_json(json.loads(text))
@@ -60,34 +44,47 @@ def _read_tree(text: str) -> Tree:
 
 def _read_expr(text: str):
     """Parse an enriched expression and expand full-sequential connectives."""
+    from .parser import parse
+    from .terms import expand_full
+
     return expand_full(parse(text, "enriched"))
 
 
-def _dot(x: Tree) -> str:
-    lines = ["digraph tree {"]
-    counter = 0
+def _dot(x) -> str:
+    """Graphviz text of ``x``: one node per occurrence, numbered in preorder.
 
-    def walk(node) -> str:
-        nonlocal counter
-        name = f"n{counter}"
-        counter += 1
+    The stack holds subtrees still to visit and, for each node met, its edge
+    lines, which follow the lines of both its subtrees.  A node's left child
+    is the next number, and its right child comes after the left subtree's
+    ``size`` occurrences.
+    """
+    from .trees import Leaf
+
+    lines = ["digraph tree {"]
+    count = 0
+    stack = [x]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            lines.append(node)
+            continue
+        name = f"n{count}"
+        count += 1
         if isinstance(node, Leaf):
             label = {"T": "T", "F": "F", "^": "hole"}[node.value]
             lines.append(f'  {name} [label="{label}" shape=box];')
         else:
             lines.append(f'  {name} [label="{node.atom}"];')
-            left = walk(node.left)
-            right = walk(node.right)
-            lines.append(f'  {name} -> {left} [label="T"];')
-            lines.append(f'  {name} -> {right} [label="F"];')
-        return name
-
-    walk(x)
+            right = f"n{count + node.left.size}"
+            edges = f'  {name} -> n{count} [label="T"];\n  {name} -> {right} [label="F"];'
+            stack += (edges, node.right, node.left)
     lines.append("}")
     return "\n".join(lines)
 
 
 def _cmd_se(args) -> int:
+    from .trees import eval_tree, format_tree, tree_to_json
+
     tree = eval_tree(_read_expr(args.expr), args.cap)
     if args.json:
         print(json.dumps(tree_to_json(tree), sort_keys=True))
@@ -99,12 +96,18 @@ def _cmd_se(args) -> int:
 
 
 def _cmd_nf(args) -> int:
+    from .normalize import nf
+    from .terms import format_term, term_to_json
+
     result = nf(_read_expr(args.expr), args.cap)
     print(json.dumps(term_to_json(result), sort_keys=True) if args.json else format_term(result))
     return 0
 
 
 def _cmd_classify(args) -> int:
+    from .normalize import classify
+    from .parser import parse
+
     category = classify(parse(args.expr, "scl"))
     print(json.dumps({"class": category.label}) if args.json else category.label)
     return 0
@@ -113,8 +116,12 @@ def _cmd_classify(args) -> int:
 def _cmd_eq(args) -> int:
     lhs, rhs = _read_expr(args.lhs), _read_expr(args.rhs)
     if args.engine == "cp":
+        from .cp import decide_eq_cp
+
         equal = decide_eq_cp(lhs, rhs, args.cap)
     else:
+        from .normalize import decide_eq
+
         equal = decide_eq(lhs, rhs, args.engine, args.cap)
     verdict = "EQUAL" if equal else "INEQUAL"
     print(json.dumps({"equal": equal, "verdict": verdict}) if args.json else verdict)
@@ -125,6 +132,9 @@ _CANDIDATE_KIND = {"cd": "ccd", "dd": "cdd", "tsd": "ctsd"}
 
 
 def _cmd_decompose(args) -> int:
+    from .decompose import enumerate_candidates, select_decomposition
+    from .trees import format_tree, tree_to_json
+
     tree = _read_tree(args.tree)
     kind = _CANDIDATE_KIND[args.kind]
     candidates = enumerate_candidates(tree, kind)
@@ -155,27 +165,38 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from .inverse import invert
+    from .terms import format_term, term_to_json
+
     term = invert(_read_tree(args.tree))
     print(json.dumps(term_to_json(term), sort_keys=True) if args.json else format_term(term))
     return 0
 
 
 def _cmd_translate(args) -> int:
+    from .terms import format_term, term_to_json
+
+    result = _read_expr(args.expr)
     if args.to == "cp":
-        result = scl_to_cp(_read_expr(args.expr))
-    else:
-        result = expand_full(parse(args.expr, "enriched"))
+        from .cp import scl_to_cp
+
+        result = scl_to_cp(result)
     print(json.dumps(term_to_json(result), sort_keys=True) if args.json else format_term(result))
     return 0
 
 
 def _cmd_basic(args) -> int:
+    from .cp import basic_form, scl_to_cp
+    from .terms import format_term, term_to_json
+
     result = basic_form(scl_to_cp(_read_expr(args.expr)), args.cap)
     print(json.dumps(term_to_json(result), sort_keys=True) if args.json else format_term(result))
     return 0
 
 
 def _cmd_models_check(args) -> int:
+    from .models import independence_rows, model_to_json
+
     rows = independence_rows()
     all_ok = all(row.ok for row in rows)
     if args.json:
@@ -213,6 +234,13 @@ def _cmd_models_check(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     from random import Random
+
+    from .cp import decide_eq_cp
+    from .generate import random_scl_term
+    from .inverse import invert
+    from .normalize import decide_eq, nf
+    from .terms import format_term
+    from .trees import eval_tree
 
     rng = Random(args.seed)
     failures = []

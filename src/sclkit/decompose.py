@@ -43,19 +43,6 @@ class Decomposition:
     core: Tree
 
 
-def replace_subtree(x: Tree, target: Tree, replacement: Tree) -> Tree:
-    """Replace all outermost occurrences of ``target`` in ``x``."""
-    if x is target:
-        return replacement
-    if isinstance(x, Leaf):
-        return x
-    left = replace_subtree(x.left, target, replacement)
-    right = replace_subtree(x.right, target, replacement)
-    if left is x.left and right is x.right:
-        return x
-    return Node(x.atom, left, right)
-
-
 class _Census:
     """The distinct subtrees (distinct objects, as nodes are interned) of
     one tree, numbered children first after the three leaves, so every

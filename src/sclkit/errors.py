@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the default node cap, shared across the package."""
 
 
 class SclError(Exception):
@@ -29,6 +29,9 @@ class NonClosedTerm(SclError):
 
 class TreeTooLarge(SclError):
     """A result exceeded the configured node cap."""
+
+
+DEFAULT_NODE_CAP = 1_000_000  # the cap every builder takes by default
 
 
 class NotInNormalForm(SclError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Mapping, Sequence
 
-from .axioms import eqfscl_minus
+from .axioms import Equation, eqfscl_minus
 from .errors import ModeViolation, ParseError, UninterpretedAtom, UnboundVariable
 from .generate import random_substitution
 from .terms import (
@@ -31,7 +31,6 @@ from .terms import (
     Atom,
     Cond,
     Const,
-    Equation,
     FullAnd,
     FullOr,
     Not,
@@ -153,7 +152,9 @@ def validates(m: FiniteModel, eq: Equation) -> ValidationResult:
     The first counterexample in lexicographic assignment order (variables
     sorted by name) is reported.  Assignments are taken in blocks, sized
     so that the columns of one block hold about ``_CELLS`` values; within
-    a block both sides share one ``_columns`` memo.
+    a block both sides share one ``_columns`` memo.  The first block is
+    sized by the sides' logical node count, which bounds their distinct
+    subterms; the later ones by the number of columns the first one made.
     """
     names = sorted(eq.variables)
     sides = eq.lhs, eq.rhs
@@ -168,6 +169,7 @@ def validates(m: FiniteModel, eq: Equation) -> ValidationResult:
             i = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             return ValidationResult(False, dict(zip(names, rows[i])), checked + i + 1)
         checked += len(rows)
+        block = max(1, _CELLS // len(cols))
     return ValidationResult(True, None, checked)
 
 

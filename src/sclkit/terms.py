@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from .errors import ModeViolation, ParseError, UnboundVariable
@@ -543,19 +542,3 @@ def _from_json(data) -> Term:
         if name not in data:
             raise ParseError(f"{kind} term lacks its {name!r} field")
     return cls(*(_from_json(data[name]) for name in fields))
-
-
-@dataclass(frozen=True)
-class Equation:
-    """A pair of (possibly open) terms with a stable tag for reporting."""
-
-    lhs: Term
-    rhs: Term
-    tag: str = ""
-
-    @property
-    def variables(self) -> frozenset[str]:
-        return variables(self.lhs) | variables(self.rhs)
-
-    def __str__(self) -> str:
-        return f"{format_term(self.lhs)} = {format_term(self.rhs)}"

@@ -19,11 +19,9 @@ import re
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
+from .errors import DEFAULT_NODE_CAP, ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
 from .terms import FALSE, TRUE, And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
 from .terms import Interned, _is_name, unique_table
-
-DEFAULT_NODE_CAP = 1_000_000
 
 
 class Tree:

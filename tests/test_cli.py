@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from sclkit import (
+    Leaf,
     cd,
     dd,
     enumerate_candidates,
@@ -16,14 +17,16 @@ from sclkit import (
     independence_suite,
     invert,
     model_to_json,
+    parse,
+    replace,
     term_to_json,
     tree_to_json,
     tsd,
     validates,
 )
 from sclkit.axioms import eqfscl_minus
-from sclkit.cli import main
-from sclkit.generate import random_snf_term
+from sclkit.cli import _dot, main
+from sclkit.generate import random_snf_term, random_tree
 
 
 def run(capsys, *argv):
@@ -50,6 +53,55 @@ def test_se_json_and_dot(capsys):
     assert code == 0
     assert out.startswith("digraph tree {")
     assert '"a"' in out and "shape=box" in out
+
+
+def reference_dot(x):
+    """The recursive Graphviz writer that ``_dot`` replaced."""
+    lines = ["digraph tree {"]
+    counter = 0
+
+    def walk(node) -> str:
+        nonlocal counter
+        name = f"n{counter}"
+        counter += 1
+        if isinstance(node, Leaf):
+            label = {"T": "T", "F": "F", "^": "hole"}[node.value]
+            lines.append(f'  {name} [label="{label}" shape=box];')
+        else:
+            lines.append(f'  {name} [label="{node.atom}"];')
+            left = walk(node.left)
+            right = walk(node.right)
+            lines.append(f'  {name} -> {left} [label="T"];')
+            lines.append(f'  {name} -> {right} [label="F"];')
+        return name
+
+    walk(x)
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def test_dot_matches_reference():
+    rng = random.Random(41)
+    trees = [random_tree(rng, max_depth=rng.randint(0, 6)) for _ in range(300)]
+    trees += [replace(x, for_false=Leaf.HOLE) for x in trees[:50]]  # hole leaves
+    trees.append(eval_tree(parse("(a || b) && (a || b) && (a || b)")))  # shared subtrees
+    for x in trees:
+        assert _dot(x) == reference_dot(x)
+
+
+def test_dot_takes_a_long_chain(capsys):
+    n = 10_000
+    code, out, err = run(capsys, "se", "--dot", " && ".join(f"a{i}" for i in range(n)))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 2 + (2 * n + 1) + 2 * n
+    assert lines[:4] == [
+        "digraph tree {",
+        '  n0 [label="a0"];',
+        '  n1 [label="a1"];',
+        '  n2 [label="a2"];',
+    ]
+    assert lines[-3:] == ['  n0 -> n1 [label="T"];', f'  n0 -> n{2 * n} [label="F"];', "}"]
 
 
 def test_se_expands_full_connectives(capsys):

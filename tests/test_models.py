@@ -453,3 +453,23 @@ def test_validates_holds_a_block_of_assignments_at_a_time():
     # whole columns of 78,125 values for each of the 29 distinct subterms
     # would take over 18 MB
     assert peak < 4_000_000
+
+
+def test_validates_sizes_later_blocks_by_distinct_columns(monkeypatch):
+    # 30 levels of t && (t || a): billions of logical nodes, so the first
+    # block is one assignment; the first fold finds 64 distinct columns, so
+    # the other four assignments of the five-element model fit in one block
+    t = _shared(30, Var("x"))
+    m = _entry("F9").model
+    eq = Equation(t, Not(Not(t)))
+    expected = validates(m, eq)
+    blocks = []
+    columns = models._columns
+
+    def counted(m, sides, cols, n):
+        blocks.append(n)
+        return columns(m, sides, cols, n)
+
+    monkeypatch.setattr(models, "_columns", counted)
+    assert validates(m, eq) == expected == ValidationResult(True, None, 5)
+    assert blocks == [1, 4]
