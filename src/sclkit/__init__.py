@@ -17,9 +17,8 @@ _EXPORTS = {
     "axioms": "Equation cp_axioms derived_laws dual_equation eqfscl_axioms eqfscl_minus rp_schemes",
     "cp": "basic_form basic_of decide_eq_cp is_basic_form scl_to_cp tree_of",
     "decompose": "Decomposition cd dd enumerate_candidates is_nondecomposable tsd witness",
-    "errors": "DEFAULT_NODE_CAP AmbiguousDecomposition ModeViolation NonClosedTerm NotInImage"
-    " NotInNormalForm NotStarTerm ParseError SclError TreeTooLarge UnboundVariable"
-    " UninterpretedAtom",
+    "errors": "DEFAULT_NODE_CAP ModeViolation NonClosedTerm NotInImage NotInNormalForm"
+    " NotStarTerm ParseError SclError TreeTooLarge UnboundVariable UninterpretedAtom",
     "inverse": "invert invert_fterm invert_lterm invert_star invert_tterm",
     "models": "Assignment FiniteModel FreeModelCheck IndependenceEntry IndependenceRow"
     " ValidationResult check_independence eval_in_model independence_rows independence_suite"
@@ -30,7 +29,7 @@ _EXPORTS = {
     "terms": "FALSE TRUE And Atom Cond Const FullAnd FullOr MODES Not Or Term Var check_mode dual"
     " expand_full format_term substitute term_from_json term_to_json variables",
     "trees": "Leaf LeafProfile Node Tree depth eval_tree format_tree graft"
-    " leaf_profile parse_tree replace subtrees tree_from_json tree_to_json",
+    " leaf_profile parse_tree replace tree_from_json tree_to_json",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "generate"}

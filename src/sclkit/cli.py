@@ -132,13 +132,11 @@ _CANDIDATE_KIND = {"cd": "ccd", "dd": "cdd", "tsd": "ctsd"}
 
 
 def _cmd_decompose(args) -> int:
-    from .decompose import enumerate_candidates, select_decomposition
+    from .decompose import enumerate_candidates
     from .trees import format_tree, tree_to_json
 
-    tree = _read_tree(args.tree)
-    kind = _CANDIDATE_KIND[args.kind]
-    candidates = enumerate_candidates(tree, kind)
-    selected = select_decomposition(tree, kind, candidates)
+    candidates = enumerate_candidates(_read_tree(args.tree), _CANDIDATE_KIND[args.kind])
+    selected = candidates[0] if candidates else None  # the shallowest core
     if args.json:
         encode = lambda d: {
             "context": tree_to_json(d.context),

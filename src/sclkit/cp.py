@@ -31,7 +31,7 @@ from .terms import (
     Var,
     postorder,
 )
-from .trees import DEFAULT_NODE_CAP, Leaf, Tree, _FALSE_SHAPE, _TRUE_SHAPE, _build, _continued, _node
+from .trees import DEFAULT_NODE_CAP, Leaf, Tree, _FALSE_SHAPE, _TRUE_SHAPE, _build, _children, _continued, _node
 
 
 def _basic_children(t: Term) -> tuple[Term, ...]:
@@ -63,15 +63,9 @@ def basic_of(x: Tree) -> Term:
     if x.has_hole:
         raise ModeViolation("hole leaves have no basic form")
     done = {Leaf.TRUE: TRUE, Leaf.FALSE: FALSE}
-    stack = [x]
-    while stack:
-        s = stack[-1]
-        if s in done:
-            stack.pop()
-        elif (a := done.get(s.left)) is None or (b := done.get(s.right)) is None:
-            stack += (s.right, s.left)
-        else:
-            done[stack.pop()] = Cond(a, Atom(s.atom), b)
+    for s in postorder(x, _children):
+        if s not in done:
+            done[s] = Cond(done[s.left], Atom(s.atom), done[s.right])
     return done[x]
 
 

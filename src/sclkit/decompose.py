@@ -31,8 +31,8 @@ from typing import Iterator
 
 from .errors import NotStarTerm
 from .normalize import SnfClass, classify, is_star_class
-from .terms import Term
-from .trees import Leaf, Node, Tree, eval_tree
+from .terms import Term, postorder
+from .trees import Leaf, Node, Tree, _children, eval_tree
 
 KINDS = ("ccd", "cdd", "ctsd")
 
@@ -57,20 +57,14 @@ class _Census:
     def __init__(self, x: Tree):
         tree = [Leaf.TRUE, Leaf.FALSE, Leaf.HOLE]
         left, right = [-1, -1, -1], [-1, -1, -1]
-        of = {id(leaf): k for k, leaf in enumerate(tree)}  # subtree -> number
-        stack = [x]
-        while stack:
-            node = stack[-1]
-            if id(node) in of:
-                stack.pop()
-            elif (l := of.get(id(node.left))) is None or (r := of.get(id(node.right))) is None:
-                stack += (node.right, node.left)
-            else:
-                of[id(stack.pop())] = len(tree)
+        of = {leaf: k for k, leaf in enumerate(tree)}  # subtree -> number
+        for node in postorder(x, _children):
+            if node not in of:
+                of[node] = len(tree)
                 tree.append(node)
-                left.append(l)
-                right.append(r)
-        root = of[id(x)]
+                left.append(of[node.left])
+                right.append(of[node.right])
+        root = of[x]
 
         # parents before children: push occurrence counts down
         occ = [0] * len(tree)
@@ -88,7 +82,7 @@ class _Census:
 
         Holing subtree ``k`` keeps a T-leaf iff ``occ[k] * t[k]`` falls
         short of the tree's T-leaves, and likewise for F.  Candidate cores of
-        one kind are nested (see ``select_decomposition``), and an inner
+        one kind are nested (see ``enumerate_candidates``), and an inner
         subtree has a smaller number, so number order is depth order.
         """
         t, f, occ, root = self.t, self.f, self.occ, self.root
@@ -121,23 +115,35 @@ class _Census:
             m and m * t[p] == tz and m * f[p] == fz for p, m in enumerate(occ[:z])
         )
 
-    def decomposition(self, c: int) -> Decomposition:
-        """The context that holes every occurrence of subtree ``c``, and ``c``."""
+    def rebuild(self, k: int, sub: dict[int, int]) -> Tree:
+        """Subtree ``k`` with each subtree ``s`` in ``sub`` replaced by the leaf
+        numbered ``sub[s]``: one pass in number order from ``min(sub)``, which
+        builds anew only the subtrees whose children changed."""
         tree, left, right = self.tree, self.left, self.right
         built = tree[:]
-        built[c] = Leaf.HOLE
-        for k in range(c + 1, len(tree)):
-            l, r = left[k], right[k]
-            if l >= 0 and (built[l] is not tree[l] or built[r] is not tree[r]):
-                built[k] = Node(tree[k].atom, built[l], built[r])
-        return Decomposition(built[self.root], tree[c])
+        for s in range(min(sub, default=k), k + 1):
+            l, r = left[s], right[s]
+            if s in sub:
+                built[s] = tree[sub[s]]
+            elif l >= 0 and (built[l] is not tree[l] or built[r] is not tree[r]):
+                built[s] = Node(tree[s].atom, built[l], built[r])
+        return built[k]
+
+    def decomposition(self, c: int) -> Decomposition:
+        """The context that holes every occurrence of subtree ``c``, and ``c``."""
+        return Decomposition(self.rebuild(self.root, {c: 2}), self.tree[c])
 
 
 def enumerate_candidates(x: Tree, kind: str) -> list[Decomposition]:
     """All decompositions of ``x`` of the given candidate kind.
 
-    Candidates are ordered by core depth; no two of them have the same
-    core depth (see ``select_decomposition``).
+    Candidates are ordered by core depth, and no two of them have the same
+    core depth, so the first is the one ``cd``, ``dd`` or ``tsd`` selects.
+    A candidate context keeps none of the T-leaves of ``x`` (none of the
+    F-leaves for ``cdd``), so for one fixed such leaf of ``x``, every
+    candidate core has an occurrence containing it.  Two occurrences
+    containing the same leaf are nested, and a proper subtree is strictly
+    shallower, so distinct candidate cores differ in depth.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown decomposition kind: {kind!r}")
@@ -150,22 +156,6 @@ def _select(census: _Census, kind: str) -> Decomposition | None:
     is built."""
     core = next(census.candidates(kind), None)
     return None if core is None else census.decomposition(core)
-
-
-def select_decomposition(
-    x: Tree, kind: str, candidates: list[Decomposition]
-) -> Decomposition | None:
-    """Pick from ``candidates``, the list ``enumerate_candidates(x, kind)``
-    returned: its first entry (the shallowest core), or None when it is empty.
-
-    The shallowest core is unique, so ``AmbiguousDecomposition`` is never
-    raised.  A candidate context keeps none of the T-leaves of ``x`` (none
-    of the F-leaves for ``cdd``), so for one fixed such leaf of ``x``, every
-    candidate core has an occurrence containing it.  Two occurrences
-    containing the same leaf are nested, and a proper subtree is strictly
-    shallower, so distinct candidate cores differ in depth.
-    """
-    return candidates[0] if candidates else None
 
 
 def cd(x: Tree) -> Decomposition | None:

@@ -49,10 +49,6 @@ class NotInImage(SclError):
         super().__init__(message)
 
 
-class AmbiguousDecomposition(SclError):
-    """Two distinct minimum-depth decompositions exist for the given tree."""
-
-
 class NotStarTerm(SclError):
     """The witness operation needs a term in one of the star categories."""
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from .errors import NotInImage
 from .decompose import _Census, cd, dd, tsd  # noqa: F401  (cd, dd, tsd stay importable from here)
-from .terms import And, Atom, Not, Or, Term, FALSE, TRUE
-from .trees import Leaf, Node, Tree
+from .terms import And, Atom, Not, Or, Term, FALSE, TRUE, postorder
+from .trees import Tree
 
 _T, _F = 0, 1  # the census numbers of the T- and F-leaf
 
@@ -82,23 +82,7 @@ class _Inverse(_Census):
             return Or(And(atom, self.leaf_term(l, _T, "invert_tterm")), self.leaf_term(r, _F, "invert_fterm"))
         if not self.f[r]:
             return Or(And(Not(atom), self.leaf_term(r, _T, "invert_tterm")), self.leaf_term(l, _F, "invert_fterm"))
-        raise NotInImage("neither branch has only T-leaves", self.built(k), "invert_lterm")
-
-    def built(self, k: int) -> Tree:
-        """The tree of class ``k`` under ``sub`` (for error reports only)."""
-        tree, left, right, sub = self.tree, self.left, self.right, self.sub
-        made = {_T: Leaf.TRUE, _F: Leaf.FALSE, 2: Leaf.HOLE}
-        stack = [k]
-        while stack:
-            s = stack[-1]
-            l, r = sub.get(left[s], left[s]), sub.get(right[s], right[s])
-            if l not in made:
-                stack.append(l)
-            elif r not in made:
-                stack.append(r)
-            else:
-                made[stack.pop()] = Node(tree[s].atom, made[l], made[r])
-        return made[k]
+        raise NotInImage("neither branch has only T-leaves", self.rebuild(k, sub), "invert_lterm")
 
     def spine(self, root: int) -> list[tuple[int, int, int]]:
         """Split the *-tree of class ``root`` until no cd or dd core is left,
@@ -123,33 +107,23 @@ class _Inverse(_Census):
         if root < 3:
             return []
         left, right, t, f, occ, sub = self.left, self.right, self.t, self.f, self.occ, self.sub
-        order, seen, stack = [], set(), [root]  # the classes under sub, children first
-        while stack:
-            s = stack[-1]
-            if s in seen:
-                stack.pop()
-                continue
+
+        def kids(s: int) -> tuple[int, ...]:  # the children of class s under sub, leaves dropped
             l, r = sub.get(left[s], left[s]), sub.get(right[s], right[s])
-            if l > 2 and l not in seen:
-                stack.append(l)
-            elif r > 2 and r not in seen:
-                stack.append(r)
-            else:
-                stack.pop()
-                seen.add(s)
-                order.append(s)
-                t[s], f[s] = t[l] + t[r], f[l] + f[r]
-                occ[s] = 0
+            if l > 2:
+                return (l, r) if r > 2 else (l,)
+            return (r,) if r > 2 else ()
+
+        order = list(postorder(root, kids))  # the classes under sub, children first
+        for s in (_T, _F, 2, *order):  # occurrence counts under sub, of the leaves too
+            occ[s] = 0
         occ[root] = 1
         for s in reversed(order):  # parents before children
             m = occ[s]
-            l, r = sub.get(left[s], left[s]), sub.get(right[s], right[s])
-            if l > 2:
-                occ[l] += m
-            if r > 2:
-                occ[r] += m
+            occ[sub.get(left[s], left[s])] += m
+            occ[sub.get(right[s], right[s])] += m
 
-        t_root, f_root, splits = t[root], f[root], []
+        t_root, f_root, splits = occ[_T], occ[_F], []
         for s in order:
             l, r = sub.get(left[s], left[s]), sub.get(right[s], right[s])
             ts, fs = t[s], f[s] = t[l] + t[r], f[l] + f[r]

@@ -290,27 +290,33 @@ class _Helpers:
         return result
 
     def and_star_fterm(self, s: Term, r: Term) -> Term:
-        if (result := self.fterms.get((s, r))) is not None:
-            return result
-        if (r._snf_cat or classify(r)) is not SnfClass.F_TERM:
-            raise _reject(r, "F-term")
-        match s._snf_cat or classify(s):
-            case SnfClass.L_TERM:
-                head, pt, qf = s.left.left, s.left.right, s.right
-                if isinstance(head, Atom):
-                    result = And(Or(head, qf), self.and_nf(pt, r))
-                else:
-                    result = And(Or(head.arg, self.and_nf(pt, r)), qf)
-            case SnfClass.C_TERM:
-                result = self.and_star_fterm(s.left, self.and_star_fterm(s.right, r))
-            case SnfClass.D_TERM:
-                result = self.and_star_fterm(
-                    self.neg_star(self.and_star_tterm(s.left, self.neg_nf(r))),
-                    self.and_star_fterm(s.right, r),
-                )
-            case _:
-                raise _reject(s, "*-term")
-        self.fterms[s, r] = result
+        # A c-term gives and_star_fterm(s.left, and_star_fterm(s.right, r)): its
+        # left spine is walked in a loop, and every pair passed has one result.
+        passed = []
+        while (result := self.fterms.get((s, r))) is None:
+            if (r._snf_cat or classify(r)) is not SnfClass.F_TERM:
+                raise _reject(r, "F-term")
+            passed.append((s, r))
+            match s._snf_cat or classify(s):
+                case SnfClass.L_TERM:
+                    head, pt, qf = s.left.left, s.left.right, s.right
+                    if isinstance(head, Atom):
+                        result = And(Or(head, qf), self.and_nf(pt, r))
+                    else:
+                        result = And(Or(head.arg, self.and_nf(pt, r)), qf)
+                    break
+                case SnfClass.C_TERM:
+                    s, r = s.left, self.and_star_fterm(s.right, r)
+                case SnfClass.D_TERM:
+                    result = self.and_star_fterm(
+                        self.neg_star(self.and_star_tterm(s.left, self.neg_nf(r))),
+                        self.and_star_fterm(s.right, r),
+                    )
+                    break
+                case _:
+                    raise _reject(s, "*-term")
+        for key in passed:
+            self.fterms[key] = result
         return result
 
     def and_star_tstar(self, s: Term, q: Term) -> Term:

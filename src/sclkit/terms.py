@@ -476,44 +476,6 @@ def format_term(t: Term) -> str:
     return "".join(out)
 
 
-def term_to_json(t: Term):
-    """Encode ``t`` as the documented JSON object form."""
-    match t:
-        case Const(v):
-            return {"kind": "true" if v else "false"}
-        case Atom(name):
-            return {"kind": "atom", "name": name}
-        case Var(name):
-            return {"kind": "var", "name": name}
-        case Not(p):
-            return {"kind": "not", "arg": term_to_json(p)}
-        case And(l, r):
-            return {"kind": "and", "l": term_to_json(l), "r": term_to_json(r)}
-        case Or(l, r):
-            return {"kind": "or", "l": term_to_json(l), "r": term_to_json(r)}
-        case FullAnd(l, r):
-            return {"kind": "fulland", "l": term_to_json(l), "r": term_to_json(r)}
-        case FullOr(l, r):
-            return {"kind": "fullor", "l": term_to_json(l), "r": term_to_json(r)}
-        case Cond(a, g, b):
-            return {
-                "kind": "cond",
-                "then": term_to_json(a),
-                "if": term_to_json(g),
-                "else": term_to_json(b),
-            }
-        case _:  # pragma: no cover
-            raise TypeError(f"not a term: {t!r}")
-
-
-def term_from_json(data, mode: str = "open") -> Term:
-    """Decode the JSON object form; ``mode`` restricts admissible node kinds.
-
-    Raises ``ParseError`` on any malformed input.
-    """
-    return check_mode(_from_json(data), mode)
-
-
 _JSON_FIELDS = {
     "not": (Not, ("arg",)),
     "and": (And, ("l", "r")),
@@ -522,6 +484,36 @@ _JSON_FIELDS = {
     "fullor": (FullOr, ("l", "r")),
     "cond": (Cond, ("then", "if", "else")),
 }
+_JSON_KIND = {cls: (kind, fields) for kind, (cls, fields) in _JSON_FIELDS.items()}
+
+
+def term_to_json(t: Term):
+    """Encode ``t`` as the documented JSON object form (compound nodes have
+    the fields of ``_JSON_FIELDS``), in one fold over the distinct subterms,
+    without recursion: the occurrences of a shared subterm share one dict."""
+    done = {}
+    for s in postorder(t):
+        cls = type(s)
+        if cls is Const:
+            done[s] = {"kind": "true" if s.value else "false"}
+        elif cls is Atom or cls is Var:
+            done[s] = {"kind": "atom" if cls is Atom else "var", "name": s.name}
+        elif cls in _JSON_KIND:
+            kind, fields = _JSON_KIND[cls]
+            done[s] = obj = {"kind": kind}
+            for name, k in zip(fields, children(s)):
+                obj[name] = done[k]
+        else:  # pragma: no cover
+            raise TypeError(f"not a term: {s!r}")
+    return done[t]
+
+
+def term_from_json(data, mode: str = "open") -> Term:
+    """Decode the JSON object form; ``mode`` restricts admissible node kinds.
+
+    Raises ``ParseError`` on any malformed input.
+    """
+    return check_mode(_from_json(data), mode)
 
 
 def _from_json(data) -> Term:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DEFAULT_NODE_CAP, ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
 from .terms import FALSE, TRUE, And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
-from .terms import Interned, _is_name, unique_table
+from .terms import Interned, _is_name, postorder, unique_table
 
 
 class Tree:
@@ -97,14 +97,14 @@ def leaf_profile(x: Tree) -> LeafProfile:
     return LeafProfile(x.has_true, x.has_false)
 
 
-def subtrees(x: Tree) -> Iterator[Tree]:
-    """Yield every subtree of ``x`` in preorder (including ``x`` itself)."""
-    stack = [x]
-    while stack:
-        s = stack.pop()
-        yield s
-        if isinstance(s, Node):
-            stack += (s.right, s.left)
+def _children(x: Tree) -> tuple[Tree, ...]:
+    """The branches of ``x`` that are nodes, left first (folds seed the leaves)."""
+    if x.__class__ is Leaf:
+        return ()
+    l, r = x.left, x.right
+    if l.__class__ is Leaf:
+        return () if r.__class__ is Leaf else (r,)
+    return (l,) if r.__class__ is Leaf else (l, r)
 
 
 def replace(
@@ -121,24 +121,24 @@ def replace(
     subtree is visited once, without recursion, and subtrees in which
     nothing changes are reused as-is.
     """
-    new = {id(Leaf.TRUE): for_true, id(Leaf.FALSE): for_false, id(Leaf.HOLE): for_hole}
+    new = {Leaf.TRUE: for_true, Leaf.FALSE: for_false, Leaf.HOLE: for_hole}
     on_t, on_f = for_true is not Leaf.TRUE, for_false is not Leaf.FALSE
     on_h = for_hole is not Leaf.HOLE
     stack = [x]
     while stack:
         s = stack[-1]
-        if id(s) in new:
+        if s in new:
             stack.pop()
         elif not (on_t and s.has_true or on_f and s.has_false or on_h and s.has_hole):
-            new[id(stack.pop())] = s
-        elif (l := new.get(id(s.left))) is None or (r := new.get(id(s.right))) is None:
+            new[stack.pop()] = s
+        elif (l := new.get(s.left)) is None or (r := new.get(s.right)) is None:
             stack += (s.right, s.left)
         else:
             stack.pop()
-            new[id(s)] = node = Node(s.atom, l, r)
+            new[s] = node = Node(s.atom, l, r)
             if cap is not None and node.size > cap:
                 raise TreeTooLarge(f"tree exceeds the node cap of {cap}")
-    return new[id(x)]
+    return new[x]
 
 
 def graft(context: Tree, filler: Tree, cap: int | None = None) -> Tree:
@@ -375,15 +375,17 @@ def _start(text: str, i: int) -> int:
     return len(text)
 
 
+_LEAF_JSON = {Leaf.TRUE: "T", Leaf.FALSE: "F", Leaf.HOLE: "hole"}
+
+
 def tree_to_json(x: Tree):
-    """Encode ``x`` as the documented JSON object form."""
-    if x is Leaf.TRUE:
-        return {"leaf": "T"}
-    if x is Leaf.FALSE:
-        return {"leaf": "F"}
-    if x is Leaf.HOLE:
-        return {"leaf": "hole"}
-    return {"node": x.atom, "l": tree_to_json(x.left), "r": tree_to_json(x.right)}
+    """Encode ``x`` as the documented JSON object form, in one fold over the
+    distinct subtrees: the occurrences of a shared subtree share one dict."""
+    done = {leaf: {"leaf": text} for leaf, text in _LEAF_JSON.items()}
+    for s in postorder(x, _children):
+        if s not in done:
+            done[s] = {"node": s.atom, "l": done[s.left], "r": done[s.right]}
+    return done[x]
 
 
 def tree_from_json(data, allow_hole: bool = True) -> Tree:

@@ -354,6 +354,18 @@ def test_long_chains_go_through_every_text_subcommand(capsys):
         assert run(capsys, "eq", chain, chain[:-5] + "b", "--engine", engine) == (1, "INEQUAL\n", "")
 
 
+def test_long_chain_conjoined_with_f_goes_through_nf_and_eq(capsys):
+    n = 10_000
+    chain = " && ".join(f"a{i}" for i in range(n))
+    code, out, err = run(capsys, "nf", chain + " && F")
+    assert (code, err) == (0, "")
+    assert eval_tree(parse(out)) is eval_tree(parse(chain + " && F"))
+    for engine in ("tree", "nf", "cp"):
+        assert run(capsys, "eq", chain + " && F", chain, "--engine", engine) == (1, "INEQUAL\n", "")
+        assert run(capsys, "eq", chain + " && F", "F", "--engine", engine) == (1, "INEQUAL\n", "")
+        assert run(capsys, "eq", chain + " && F", chain + " && F && a0", "--engine", engine) == (0, "EQUAL\n", "")
+
+
 _SELECTOR = {"cd": (cd, "ccd"), "dd": (dd, "cdd"), "tsd": (tsd, "ctsd")}
 
 

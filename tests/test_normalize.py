@@ -1,5 +1,6 @@
 import random
 import time
+from functools import reduce
 
 import pytest
 
@@ -396,6 +397,28 @@ def test_helpers_match_the_unmemoized_reference(seed):
             assert outcome(or_nf, p, q) == outcome(
                 lambda p, q: reference_neg_nf(reference_and_nf(reference_neg_nf(p), reference_neg_nf(q))), p, q
             )
+
+
+def test_and_star_fterm_walks_a_long_c_term_in_a_loop():
+    # u0 && ... && u(n-1) && F: the normal form of the chain is T && s for a
+    # left-nested c-term s, which and_star_fterm walks one unit per step
+    # (disjunctions as units double the normal form, and the unmemoized
+    # reference with it, so the long chains take literals only)
+    rng = random.Random(12)
+    literals = [parse("a"), parse("!a"), parse("b")]
+    units = literals + [parse("a || b"), parse("!a || b && c"), parse("a && !b")]
+    for n, pool in [(1, units), (2, units), (3, units), (10, units), (20, units), (300, literals)]:
+        for _ in range(5):
+            t = And(reduce(And, [rng.choice(pool) for _ in range(n)]), FALSE)
+            assert outcome(nf, t, None) == outcome(reference_nf, t, None)
+    chain = reduce(And, [Atom(f"a{i}") for i in range(10_000)])
+    star = nf(chain).right
+    assert classify(star) is SnfClass.C_TERM
+    for f in (nf(parse("b && F")), FALSE):
+        normal = and_star_fterm(star, f)
+        assert classify(normal) is SnfClass.F_TERM
+        assert eval_tree(normal) is eval_tree(And(chain, f))
+    assert nf(And(chain, FALSE)) is normal
 
 
 def test_negation_is_an_involution_on_normal_forms():

@@ -25,7 +25,7 @@ PUBLIC = {
     " rp_schemes",
     "cp": "basic_form basic_of decide_eq_cp is_basic_form scl_to_cp tree_of",
     "decompose": "Decomposition cd dd enumerate_candidates is_nondecomposable tsd witness",
-    "errors": "AmbiguousDecomposition DEFAULT_NODE_CAP ModeViolation NonClosedTerm NotInImage"
+    "errors": "DEFAULT_NODE_CAP ModeViolation NonClosedTerm NotInImage"
     " NotInNormalForm NotStarTerm ParseError SclError TreeTooLarge UnboundVariable"
     " UninterpretedAtom",
     "inverse": "invert invert_fterm invert_lterm invert_star invert_tterm",
@@ -38,7 +38,7 @@ PUBLIC = {
     "terms": "And Atom Cond Const FALSE FullAnd FullOr MODES Not Or TRUE Term Var check_mode"
     " dual expand_full format_term substitute term_from_json term_to_json variables",
     "trees": "Leaf LeafProfile Node Tree depth eval_tree format_tree graft leaf_profile"
-    " parse_tree replace subtrees tree_from_json tree_to_json",
+    " parse_tree replace tree_from_json tree_to_json",
 }
 NAMES = {name: module for module, names in PUBLIC.items() for name in names.split()}
 SUBMODULES = sorted({*PUBLIC, "generate"})

@@ -1,3 +1,4 @@
+import json
 import time
 from functools import reduce
 from random import Random
@@ -27,6 +28,7 @@ from sclkit import (
     expand_full,
     parse,
     substitute,
+    term_to_json,
     variables,
 )
 from sclkit.generate import random_term
@@ -301,3 +303,77 @@ def test_equation_variables_and_str():
 def test_variables_and_closedness():
     assert variables(parse("$x && (a || $y)", "open")) == {"x", "y"}
     assert variables(parse("a && b")) == frozenset()
+
+
+# ---- the JSON encoder: one dict per distinct subterm, without recursion
+
+
+def reference_term_to_json(t):
+    """The recursive encoder that ``term_to_json`` replaced."""
+    match t:
+        case Const(v):
+            return {"kind": "true" if v else "false"}
+        case Atom(name):
+            return {"kind": "atom", "name": name}
+        case Var(name):
+            return {"kind": "var", "name": name}
+        case Not(p):
+            return {"kind": "not", "arg": reference_term_to_json(p)}
+        case And(l, r):
+            return {"kind": "and", "l": reference_term_to_json(l), "r": reference_term_to_json(r)}
+        case Or(l, r):
+            return {"kind": "or", "l": reference_term_to_json(l), "r": reference_term_to_json(r)}
+        case FullAnd(l, r):
+            return {"kind": "fulland", "l": reference_term_to_json(l), "r": reference_term_to_json(r)}
+        case FullOr(l, r):
+            return {"kind": "fullor", "l": reference_term_to_json(l), "r": reference_term_to_json(r)}
+        case Cond(a, g, b):
+            return {
+                "kind": "cond",
+                "then": reference_term_to_json(a),
+                "if": reference_term_to_json(g),
+                "else": reference_term_to_json(b),
+            }
+
+
+def json_objects(data):
+    """The distinct dicts reachable from ``data``, by identity, without recursion."""
+    seen, stack = {}, [data]
+    while stack:
+        d = stack.pop()
+        if id(d) not in seen:
+            seen[id(d)] = d
+            stack += [v for v in d.values() if isinstance(v, dict)]
+    return seen
+
+
+def test_term_to_json_matches_the_recursive_encoder():
+    rng = Random(41)
+    for mode in MODES:
+        for _ in range(300):
+            t = random_term(rng, mode=mode, max_depth=rng.randint(1, 6))
+            got, expected = term_to_json(t), reference_term_to_json(t)
+            assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+            assert json.dumps(got) == json.dumps(expected)  # and the same key order
+
+
+def test_term_to_json_takes_deep_terms_without_recursion():
+    deep = 100_000
+    data = term_to_json(reduce(lambda acc, _: Not(acc), range(deep), A))
+    for _ in range(deep):
+        assert data.keys() == {"kind", "arg"} and data["kind"] == "not"
+        data = data["arg"]
+    assert data == {"kind": "atom", "name": "a"}
+    data = term_to_json(reduce(And, [Atom(f"a{i}") for i in range(deep)]))
+    for i in reversed(range(1, deep)):
+        assert data["kind"] == "and" and data["r"] == {"kind": "atom", "name": f"a{i}"}
+        data = data["l"]
+    assert data == {"kind": "atom", "name": "a0"}
+
+
+def test_term_to_json_makes_one_dict_per_distinct_subterm():
+    for t in (_shared_template(30), reduce(And, [Or(A, B)] * 40)):
+        started = time.perf_counter()
+        data = term_to_json(t)
+        assert time.perf_counter() - started < 0.05
+        assert len(json_objects(data)) == len(list(postorder(t)))

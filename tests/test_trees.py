@@ -1,5 +1,7 @@
+import json
 import random
 import re
+import time
 from functools import reduce
 
 import pytest
@@ -36,7 +38,8 @@ from sclkit import (
     tree_to_json,
 )
 from sclkit.generate import random_scl_term, random_snf_term, random_term, random_tree
-from sclkit.terms import _is_name
+from sclkit.terms import _is_name, postorder
+from test_terms import json_objects
 
 T, F, H = Leaf.TRUE, Leaf.FALSE, Leaf.HOLE
 
@@ -424,3 +427,58 @@ def test_format_tree_is_iterative_and_shares_repeats():
     shared = eval_tree(parse(" && ".join(["(a || b)"] * 14)))
     nodes, leaves = shared.size // 2, shared.size // 2 + 1
     assert len(format_tree(shared)) == 7 * nodes + leaves  # "(", " <a> ", ")" per node
+
+
+# ---- the JSON encoder: one dict per distinct subtree, without recursion
+
+
+def reference_tree_to_json(x):
+    """The recursive encoder that ``tree_to_json`` replaced."""
+    if x is Leaf.TRUE:
+        return {"leaf": "T"}
+    if x is Leaf.FALSE:
+        return {"leaf": "F"}
+    if x is Leaf.HOLE:
+        return {"leaf": "hole"}
+    return {"node": x.atom, "l": reference_tree_to_json(x.left), "r": reference_tree_to_json(x.right)}
+
+
+def test_tree_to_json_matches_the_recursive_encoder():
+    rng = random.Random(43)
+    trees = [
+        random_tree(rng, max_depth=rng.randint(0, 6), hole_prob=rng.choice([0, 0.2, 0.5]))
+        for _ in range(300)
+    ]
+    trees += [eval_tree(random_scl_term(rng, max_depth=6)) for _ in range(100)]
+    assert sum(x.has_hole for x in trees) > 50
+    for x in trees:
+        got, expected = tree_to_json(x), reference_tree_to_json(x)
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert json.dumps(got) == json.dumps(expected)  # and the same key order
+
+
+def test_tree_to_json_takes_deep_trees_without_recursion():
+    deep = 100_000
+    assert tree_to_json(eval_tree(reduce(lambda acc, _: Not(acc), range(deep), Atom("a")))) == {
+        "node": "a",
+        "l": {"leaf": "T"},
+        "r": {"leaf": "F"},
+    }
+    x = Node(f"a{deep - 1}", Leaf.TRUE, Leaf.FALSE)  # the tree of a0 && ... && a99999
+    for i in reversed(range(deep - 1)):
+        x = Node(f"a{i}", x, Leaf.FALSE)
+    data = tree_to_json(x)
+    for i in range(deep):
+        assert data["node"] == f"a{i}" and data["r"] == {"leaf": "F"}
+        data = data["l"]
+    assert data == {"leaf": "T"}
+
+
+def test_tree_to_json_makes_one_dict_per_distinct_subtree():
+    x = eval_tree(reduce(And, [parse("a || b")] * 40), cap=None)
+    assert x.size > 10**12
+    started = time.perf_counter()
+    data = tree_to_json(x)
+    assert time.perf_counter() - started < 0.05
+    branches = lambda s: (s.left, s.right) if isinstance(s, Node) else ()
+    assert len(json_objects(data)) == len(list(postorder(x, branches)))
