@@ -7,9 +7,12 @@ literal units ("l-terms"); the c/d categories track whether the topmost
 combination is a conjunction or a disjunction.
 
 ``nf`` rewrites any closed short-circuit term into this form while keeping
-its evaluation tree unchanged.  The negation and conjunction helpers are
-exposed so each defining clause is unit-testable; they reject inputs
-outside their grammar category with NotInNormalForm.
+its evaluation tree unchanged.  It runs the clauses on a node table made for
+the call and interns only the normal form it returns: each tree has one
+normal form, so how the intermediate terms are built does not show.  The
+negation and conjunction helpers are exposed so each defining clause is
+unit-testable; they reject inputs outside their grammar category with
+NotInNormalForm.
 """
 
 from __future__ import annotations
@@ -66,9 +69,10 @@ def classify(t: Term) -> SnfClass:
     Every term in normal form is a T-term, an F-term, or a T-*-term at top
     level; the finer *-term categories classify the left/right parts.  The
     category is cached in the term's ``_snf_cat`` slot (terms are interned,
-    so it is computed once per live term), and repeated dispatch during
-    normalization stays cheap.  On a miss, the subterms whose categories
-    ``_classify`` asks for are filled first, from an explicit stack.
+    so it is computed once per live term).  On a miss, the subterms whose
+    categories ``_classify`` asks for are filled first, from an explicit
+    stack.  ``nf`` does not call it: its clauses record the category of
+    each node they build.
     """
     cat = t._snf_cat
     if cat is None:
@@ -132,18 +136,17 @@ def _classify(t: Term) -> SnfClass | Term:
     return SnfClass.NOT_SNF
 
 
-def _reject(t: Term, expected: str) -> NotInNormalForm:
-    return NotInNormalForm(f"expected a {expected}, got {classify(t).label}: {t}")
+_T, _F, _L, _C, _D = SnfClass.T_TERM, SnfClass.F_TERM, SnfClass.L_TERM, SnfClass.C_TERM, SnfClass.D_TERM
+_TS, _NO = SnfClass.T_STAR_TERM, SnfClass.NOT_SNF
 
 
 def _scl_children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Not():
-            return (t.arg,)
-        case And() | Or():
-            return (t.left, t.right)
-        case _:  # other nodes are rejected on sight, before their subterms
-            return ()
+    cls = type(t)
+    if cls is Not:
+        return (t.arg,)
+    if cls is And or cls is Or:
+        return (t.left, t.right)
+    return ()  # other nodes are rejected on sight, before their subterms
 
 
 def nf(t: Term, cap: int | None = DEFAULT_NODE_CAP) -> Term:
@@ -152,202 +155,268 @@ def nf(t: Term, cap: int | None = DEFAULT_NODE_CAP) -> Term:
     Each distinct subterm is normalized once, without recursion, in the
     order a recursive definition would take, so the first error met is the
     one raised.  ``cap`` bounds the node count of every compound subterm's
-    normal form.  The helpers share one ``_Helpers`` for the call.
+    normal form.  The clauses run on a ``_Helpers`` table made for the
+    call, and only the normal form of ``t`` is interned, at the end.
     """
-    helpers, done = _Helpers(), {}
+    h, done = _Helpers(), {}
+    node, cat, size = h.node, h.cat, h.size
     for s in postorder(t, _scl_children):
-        match s:
-            case Const():
-                result = s
-            case Atom():
-                result = And(TRUE, Or(And(s, TRUE), FALSE))
-            case Var():
-                raise NonClosedTerm(f"cannot normalize open term: ${s.name}")
-            case Not():
-                result = _checked(helpers.neg_nf(done[s.arg]), cap)
-            case And():
-                result = _checked(helpers.and_nf(done[s.left], done[s.right]), cap)
-            case Or() if classify(done[s.left]) is SnfClass.T_TERM:
-                result = _checked(done[s.left], cap)  # P || Q has the tree of a T-term P
-            case Or():
-                a, b = helpers.neg_nf(done[s.left]), helpers.neg_nf(done[s.right])
-                result = _checked(helpers.neg_nf(helpers.and_nf(a, b)), cap)
-            case _:
-                raise ModeViolation(f"cannot normalize {type(s).__name__} nodes")
-        done[s] = result
-    return done[t]
-
-
-def _checked(result: Term, cap: int | None) -> Term:
-    if cap is not None and result.node_count > cap:
-        raise TreeTooLarge(f"normal form exceeds the node cap of {cap}")
-    return result
+        cls = type(s)
+        if cls is Const:
+            n = 0 if s.value else 1
+        elif cls is Atom:
+            a = h.add(s, Atom, None, None, _NO, 1, s)
+            n = node(And, 0, node(Or, node(And, a, 0, _NO), 1, _L), _TS)
+        elif cls is Not:
+            n = h.neg_nf(done[s.arg])
+        elif cls is And:
+            n = h.and_nf(done[s.left], done[s.right])
+        elif cls is Or:
+            n = done[s.left]
+            if cat[n] is not _T:  # else P || Q has the tree of the T-term P
+                n = h.neg_nf(h.and_nf(h.neg_nf(n), h.neg_nf(done[s.right])))
+        elif cls is Var:
+            raise NonClosedTerm(f"cannot normalize open term: ${s.name}")
+        else:
+            raise ModeViolation(f"cannot normalize {cls.__name__} nodes")
+        if cap is not None and size[n] > cap and s.node_count > 1:  # a compound subterm
+            raise TreeTooLarge(f"normal form exceeds the node cap of {cap}")
+        done[s] = n
+    return h.export(done[t])
 
 
 class _Helpers:
-    """The negation and conjunction helpers, memoized for one top-level call.
+    """A node table for one top-level call, and the paper's negation and
+    conjunction clauses on its nodes, each memoized on its node arguments
+    inside itself, so that a call takes one stack frame.
 
-    The helpers call one another and themselves many times on few distinct
-    arguments.  Terms are interned, so a memo keyed by a helper's arguments
-    finds every repeated call; the memos die with the object, and nothing
-    outlives the call that made it.  A memo is read and written inside the
-    helper itself, so a call takes one stack frame, as without the memo.
-    A normal form is the one of its tree and negation is an involution, so
-    each negation is entered both ways round.
+    A node is an int that indexes lists of its class, operands (a ``Not``
+    node's operand is both), category and node count; ``term`` holds the
+    terms of nodes that have one, and ``ids`` maps ``(class, left, right)``,
+    or a leaf's term, to its node.  Node 0 is T and node 1 is F.  Each
+    clause records the category of the node it builds; only ``export``
+    makes terms.  A normal form is the one of its tree and negation is an
+    involution, so each negation is entered in its memo both ways round.
     """
 
-    __slots__ = ("negs", "star_negs", "ands", "tterms", "fterms", "tstars")
+    __slots__ = ("kind", "left", "right", "cat", "size", "term", "ids")
+    __slots__ += ("negs", "star_negs", "ands", "tterms", "fterms", "tstars")
 
     def __init__(self):
-        self.negs, self.star_negs, self.ands = {}, {}, {}
-        self.tterms, self.fterms, self.tstars = {}, {}, {}
+        self.kind, self.left, self.right = [Const, Const], [None, None], [None, None]
+        self.cat, self.size, self.term = [_T, _F], [1, 1], {0: TRUE, 1: FALSE}
+        self.ids = {TRUE: 0, FALSE: 1}
+        self.negs, self.star_negs, self.ands, self.tterms, self.fterms, self.tstars = {}, {}, {}, {}, {}, {}
 
-    def neg_nf(self, t: Term) -> Term:
+    def add(self, key, kind, left, right, cat: SnfClass, size: int, term: Term | None = None) -> int:
+        """Make the node of ``key``, which is not in the table yet."""
+        n = self.ids[key] = len(self.cat)
+        self.kind.append(kind)
+        self.left.append(left)
+        self.right.append(right)
+        self.cat.append(cat)
+        self.size.append(size)
+        if term is not None:
+            self.term[n] = term
+        return n
+
+    def node(self, cls, left: int, right: int, cat: SnfClass) -> int:
+        """The node ``cls(left, right)`` of category ``cat``, for ``And`` or ``Or``."""
+        if (n := self.ids.get((cls, left, right))) is None:
+            n = self.add((cls, left, right), cls, left, right, cat, self.size[left] + self.size[right] + 1)
+        return n
+
+    def load(self, t: Term) -> int:
+        """The node of ``t``, with the categories ``classify`` gives, in one fold
+        over its distinct subterms; other nodes than !, && and || are leaves."""
+        ids, done = self.ids, {}
+        for s in postorder(t, _scl_children):
+            cls = type(s)
+            if cls is Not:
+                a = b = done[s.arg]
+            elif cls is And or cls is Or:
+                a, b = done[s.left], done[s.right]
+            else:
+                a = b = None
+            key = s if a is None else (cls, a, b)
+            done[s] = ids[key] if key in ids else self.add(key, cls, a, b, classify(s), s.node_count, s)
+        return done[t]
+
+    def export(self, n: int) -> Term:
+        """The interned term of node ``n``: the nodes it reaches that have no
+        term are built once each, oldest first, so operands come first."""
+        term, kind, left, right = self.term, self.kind, self.left, self.right
+        todo, stack = set(), [n]
+        while stack:
+            m = stack.pop()
+            if m not in term and m not in todo:
+                todo.add(m)
+                stack += (left[m], right[m])
+        for m in sorted(todo):
+            cls, a, b = kind[m], term[left[m]], term[right[m]]
+            term[m] = Not(a) if cls is Not else cls(a, b)
+        return term[n]
+
+    def reject(self, n: int, expected: str) -> NotInNormalForm:
+        return NotInNormalForm(f"expected a {expected}, got {self.cat[n].label}: {self.export(n)}")
+
+    def neg_nf(self, t: int) -> int:
         if (result := self.negs.get(t)) is not None:
             return result
-        match t._snf_cat or classify(t):
-            case SnfClass.T_TERM if t is TRUE:
-                result = FALSE
-            case SnfClass.T_TERM:
-                # (a && p) || q  ->  (a || ~q) && ~p
-                result = And(Or(t.left.left, self.neg_nf(t.right)), self.neg_nf(t.left.right))
-            case SnfClass.F_TERM if t is FALSE:
-                result = TRUE
-            case SnfClass.F_TERM:
-                # (a || p) && q  ->  (a && ~q) || ~p
-                result = Or(And(t.left.left, self.neg_nf(t.right)), self.neg_nf(t.left.right))
-            case SnfClass.T_STAR_TERM:
-                result = And(t.left, self.neg_star(t.right))
-            case _:
-                raise _reject(t, "term in normal form")
+        c, left, right = self.cat[t], self.left, self.right
+        if t < 2:
+            result = 1 - t  # T and F trade places
+        elif c is _T or c is _F:
+            # (a && p) || q  ->  (a || ~q) && ~p, and dually
+            inner, outer, negated = (Or, And, _F) if c is _T else (And, Or, _T)
+            a = self.node(inner, left[left[t]], self.neg_nf(right[t]), _NO)
+            result = self.node(outer, a, self.neg_nf(right[left[t]]), negated)
+        elif c is _TS:
+            result = self.node(And, left[t], self.neg_star(right[t]), _TS)
+        else:
+            raise self.reject(t, "term in normal form")
         self.negs[t], self.negs[result] = result, t
         return result
 
-    def neg_star(self, t: Term) -> Term:
-        if (result := self.star_negs.get(t)) is not None:
-            return result
-        match t._snf_cat or classify(t):
-            case SnfClass.L_TERM:
-                head, pt, qf = t.left.left, t.left.right, t.right
-                flipped = Not(head) if isinstance(head, Atom) else head.arg
-                result = Or(And(flipped, self.neg_nf(qf)), self.neg_nf(pt))
-            case SnfClass.C_TERM:
-                result = Or(self.neg_star(t.left), self.neg_star(t.right))
-            case SnfClass.D_TERM:
-                result = And(self.neg_star(t.left), self.neg_star(t.right))
-            case _:
-                raise _reject(t, "*-term")
-        self.star_negs[t], self.star_negs[result] = result, t
+    def neg_star(self, t: int) -> int:
+        # A c- or d-term's left spine is walked in a loop: down to the first
+        # operand that is an l-term or whose negation is known, then back up.
+        memo, cat, left, right = self.star_negs, self.cat, self.left, self.right
+        spine = []
+        while t not in memo and (cat[t] is _C or cat[t] is _D):
+            spine.append(t)
+            t = left[t]
+        if (result := memo.get(t)) is None:
+            if cat[t] is not _L:
+                raise self.reject(t, "*-term")
+            head, pt, qf = left[left[t]], right[left[t]], right[t]
+            if self.kind[head] is Atom:  # node 0 is T, so no Not node is 0
+                flipped = self.ids.get((Not, head, head)) or self.add((Not, head, head), Not, head, head, _NO, 2)
+            else:
+                flipped = left[head]
+            a = self.node(And, flipped, self.neg_nf(qf), _NO)
+            result = self.node(Or, a, self.neg_nf(pt), _L)
+            memo[t], memo[result] = result, t
+        for t in reversed(spine):  # x && y -> ~x || ~y, a d-term, and dually
+            cls, c = (Or, _D) if cat[t] is _C else (And, _C)
+            result = self.node(cls, result, self.neg_star(right[t]), c)
+            memo[t], memo[result] = result, t
         return result
 
-    def and_nf(self, p: Term, q: Term) -> Term:
+    def and_nf(self, p: int, q: int) -> int:
         if (result := self.ands.get((p, q))) is not None:
             return result
-        pc, qc = p._snf_cat or classify(p), q._snf_cat or classify(q)
-        if not in_normal_form(qc):
-            raise _reject(q, "term in normal form")
-        match pc:
-            case SnfClass.T_TERM if p is TRUE:
-                result = q
-            case SnfClass.T_TERM:
-                a, pt, qt = p.left.left, p.left.right, p.right
-                if qc is SnfClass.T_TERM:
-                    result = Or(And(a, self.and_nf(pt, q)), self.and_nf(qt, q))
-                elif qc is SnfClass.F_TERM:
-                    result = And(Or(a, self.and_nf(qt, q)), self.and_nf(pt, q))
-                else:
-                    result = And(self.and_nf(p, q.left), q.right)
-            case SnfClass.F_TERM:
-                result = p
-            case SnfClass.T_STAR_TERM:
-                if qc is SnfClass.T_TERM:
-                    result = And(p.left, self.and_star_tterm(p.right, q))
-                elif qc is SnfClass.F_TERM:
-                    result = self.and_nf(p.left, self.and_star_fterm(p.right, q))
-                else:
-                    result = And(p.left, self.and_star_tstar(p.right, q))
-            case _:
-                raise _reject(p, "term in normal form")
+        cat, left, right = self.cat, self.left, self.right
+        pc, qc = cat[p], cat[q]
+        if qc is not _T and qc is not _F and qc is not _TS:
+            raise self.reject(q, "term in normal form")
+        if p == 0:
+            result = q
+        elif pc is _T:
+            a, pt, qt = left[left[p]], right[left[p]], right[p]
+            if qc is _T:
+                result = self.node(Or, self.node(And, a, self.and_nf(pt, q), _NO), self.and_nf(qt, q), _T)
+            elif qc is _F:
+                result = self.node(And, self.node(Or, a, self.and_nf(qt, q), _NO), self.and_nf(pt, q), _F)
+            else:
+                result = self.node(And, self.and_nf(p, left[q]), right[q], _TS)
+        elif pc is _F:
+            result = p
+        elif pc is _TS:
+            if qc is _T:
+                result = self.node(And, left[p], self.and_star_tterm(right[p], q), _TS)
+            elif qc is _F:
+                result = self.and_nf(left[p], self.and_star_fterm(right[p], q))
+            else:
+                result = self.node(And, left[p], self.and_star_tstar(right[p], q), _TS)
+        else:
+            raise self.reject(p, "term in normal form")
         self.ands[p, q] = result
         return result
 
-    def and_star_tterm(self, s: Term, r: Term) -> Term:
-        if (result := self.tterms.get((s, r))) is not None:
-            return result
-        if (r._snf_cat or classify(r)) is not SnfClass.T_TERM:
-            raise _reject(r, "T-term")
-        match s._snf_cat or classify(s):
-            case SnfClass.L_TERM:
+    def and_star_tterm(self, s: int, r: int) -> int:
+        # A d-term's left spine is walked in a loop: down to the first operand
+        # that is no d-term or whose result is known, then back up.
+        memo, cat, left, right = self.tterms, self.cat, self.left, self.right
+        if cat[r] is not _T:
+            raise self.reject(r, "T-term")
+        spine = []
+        while (s, r) not in memo and cat[s] is _D:
+            spine.append(s)
+            s = left[s]
+        if (result := memo.get((s, r))) is None:
+            if cat[s] is _L:
                 # (^a && p) || q  ->  (^a && (p . r)) || q
-                result = Or(And(s.left.left, self.and_nf(s.left.right, r)), s.right)
-            case SnfClass.C_TERM:
-                result = And(s.left, self.and_star_tterm(s.right, r))
-            case SnfClass.D_TERM:
-                result = Or(self.and_star_tterm(s.left, r), self.and_star_tterm(s.right, r))
-            case _:
-                raise _reject(s, "*-term")
-        self.tterms[s, r] = result
+                a = self.node(And, left[left[s]], self.and_nf(right[left[s]], r), _NO)
+                result = self.node(Or, a, right[s], _L)
+            elif cat[s] is _C:
+                result = self.node(And, left[s], self.and_star_tterm(right[s], r), _C)
+            else:
+                raise self.reject(s, "*-term")
+            memo[s, r] = result
+        for s in reversed(spine):
+            result = self.node(Or, result, self.and_star_tterm(right[s], r), _D)
+            memo[s, r] = result
         return result
 
-    def and_star_fterm(self, s: Term, r: Term) -> Term:
+    def and_star_fterm(self, s: int, r: int) -> int:
         # A c-term gives and_star_fterm(s.left, and_star_fterm(s.right, r)): its
         # left spine is walked in a loop, and every pair passed has one result.
+        memo, cat, left, right = self.fterms, self.cat, self.left, self.right
         passed = []
-        while (result := self.fterms.get((s, r))) is None:
-            if (r._snf_cat or classify(r)) is not SnfClass.F_TERM:
-                raise _reject(r, "F-term")
+        while (result := memo.get((s, r))) is None:
+            if cat[r] is not _F:
+                raise self.reject(r, "F-term")
             passed.append((s, r))
-            match s._snf_cat or classify(s):
-                case SnfClass.L_TERM:
-                    head, pt, qf = s.left.left, s.left.right, s.right
-                    if isinstance(head, Atom):
-                        result = And(Or(head, qf), self.and_nf(pt, r))
-                    else:
-                        result = And(Or(head.arg, self.and_nf(pt, r)), qf)
-                    break
-                case SnfClass.C_TERM:
-                    s, r = s.left, self.and_star_fterm(s.right, r)
-                case SnfClass.D_TERM:
-                    result = self.and_star_fterm(
-                        self.neg_star(self.and_star_tterm(s.left, self.neg_nf(r))),
-                        self.and_star_fterm(s.right, r),
-                    )
-                    break
-                case _:
-                    raise _reject(s, "*-term")
+            c = cat[s]
+            if c is _L:
+                head, pt, qf = left[left[s]], right[left[s]], right[s]
+                if self.kind[head] is Atom:
+                    result = self.node(And, self.node(Or, head, qf, _NO), self.and_nf(pt, r), _F)
+                else:
+                    result = self.node(And, self.node(Or, left[head], self.and_nf(pt, r), _NO), qf, _F)
+                break
+            if c is _C:
+                s, r = left[s], self.and_star_fterm(right[s], r)
+            elif c is _D:
+                u = self.neg_star(self.and_star_tterm(left[s], self.neg_nf(r)))
+                result = self.and_star_fterm(u, self.and_star_fterm(right[s], r))
+                break
+            else:
+                raise self.reject(s, "*-term")
         for key in passed:
-            self.fterms[key] = result
+            memo[key] = result
         return result
 
-    def and_star_tstar(self, s: Term, q: Term) -> Term:
+    def and_star_tstar(self, s: int, q: int) -> int:
         if (result := self.tstars.get((s, q))) is not None:
             return result
-        if (q._snf_cat or classify(q)) is not SnfClass.T_STAR_TERM:
-            raise _reject(q, "T-*-term")
-        qt, qs = q.left, q.right
-        match qs._snf_cat or classify(qs):
-            case SnfClass.L_TERM | SnfClass.D_TERM:
-                result = And(self.and_star_tterm(s, qt), qs)
-            case SnfClass.C_TERM:
-                result = And(self.and_star_tstar(s, And(qt, qs.left)), qs.right)
-            case _:  # pragma: no cover - T-*-terms always carry a *-term
-                raise _reject(qs, "*-term")
+        if self.cat[q] is not _TS:
+            raise self.reject(q, "T-*-term")
+        qt, qs = self.left[q], self.right[q]
+        if self.cat[qs] is _C:
+            q2 = self.node(And, qt, self.left[qs], _TS)
+            result = self.node(And, self.and_star_tstar(s, q2), self.right[qs], _C)
+        else:  # an l- or d-term
+            result = self.node(And, self.and_star_tterm(s, qt), qs, _C)
         self.tstars[s, q] = result
         return result
 
 
-# The helpers one at a time, each with a fresh memo, so that every defining
-# clause can be tested on its own.
+# The helpers one at a time, each on a fresh table that its arguments are
+# loaded into, so that every defining clause can be tested on its own.
 
 
 def neg_nf(t: Term) -> Term:
     """Negate a term in normal form; T-terms and F-terms trade places."""
-    return _Helpers().neg_nf(t)
+    h = _Helpers()
+    return h.export(h.neg_nf(h.load(t)))
 
 
 def neg_star(t: Term) -> Term:
     """Negate a *-term by flipping the literal at the head of each unit."""
-    return _Helpers().neg_star(t)
+    h = _Helpers()
+    return h.export(h.neg_star(h.load(t)))
 
 
 def and_nf(p: Term, q: Term) -> Term:
@@ -356,33 +425,35 @@ def and_nf(p: Term, q: Term) -> Term:
     A T-term first argument leaves the second argument's category
     unchanged; an F-term first argument is returned as-is.
     """
-    return _Helpers().and_nf(p, q)
+    h = _Helpers()
+    return h.export(h.and_nf(h.load(p), h.load(q)))
 
 
 def and_star_tterm(s: Term, r: Term) -> Term:
     """Conjoin a *-term with a T-term; the result is again a *-term."""
-    return _Helpers().and_star_tterm(s, r)
+    h = _Helpers()
+    return h.export(h.and_star_tterm(h.load(s), h.load(r)))
 
 
 def and_star_fterm(s: Term, r: Term) -> Term:
     """Conjoin a *-term with an F-term; the result is an F-term."""
-    return _Helpers().and_star_fterm(s, r)
+    h = _Helpers()
+    return h.export(h.and_star_fterm(h.load(s), h.load(r)))
 
 
 def and_star_tstar(s: Term, q: Term) -> Term:
     """Conjoin a *-term with a T-*-term; the result is again a *-term."""
-    return _Helpers().and_star_tstar(s, q)
+    h = _Helpers()
+    return h.export(h.and_star_tstar(h.load(s), h.load(q)))
 
 
 def or_nf(p: Term, q: Term) -> Term:
     """Disjoin two terms in normal form, via negation of the conjunction."""
-    helpers = _Helpers()
-    return helpers.neg_nf(helpers.and_nf(helpers.neg_nf(p), helpers.neg_nf(q)))
+    h = _Helpers()
+    return h.export(h.neg_nf(h.and_nf(h.neg_nf(h.load(p)), h.neg_nf(h.load(q)))))
 
 
-def decide_eq(
-    p: Term, q: Term, engine: str = "tree", cap: int | None = DEFAULT_NODE_CAP
-) -> bool:
+def decide_eq(p: Term, q: Term, engine: str = "tree", cap: int | None = DEFAULT_NODE_CAP) -> bool:
     """Decide whether two closed terms have the same evaluation tree.
 
     Engine ``"tree"`` compares the evaluation trees directly; engine

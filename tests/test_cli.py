@@ -366,6 +366,20 @@ def test_long_chain_conjoined_with_f_goes_through_nf_and_eq(capsys):
         assert run(capsys, "eq", chain + " && F", chain + " && F && a0", "--engine", engine) == (0, "EQUAL\n", "")
 
 
+def test_negated_and_disjoined_long_chains_go_through_nf_and_eq(capsys):
+    n = 10_000
+    chain = " && ".join(f"a{i}" for i in range(n))
+    other = chain[:-5] + "b"
+    for wrap in ("!({})", "({}) || b"):
+        expr = wrap.format(chain)
+        code, out, err = run(capsys, "nf", expr)
+        assert (code, err) == (0, "")
+        assert eval_tree(parse(out)) is eval_tree(parse(expr))
+        for rhs, verdict in [(wrap.format(chain + " && T"), (0, "EQUAL\n", "")), (wrap.format(other), (1, "INEQUAL\n", ""))]:
+            assert run(capsys, "eq", expr, rhs, "--engine", "tree") == verdict
+            assert run(capsys, "eq", expr, rhs, "--engine", "nf") == verdict
+
+
 _SELECTOR = {"cd": (cd, "ccd"), "dd": (dd, "cdd"), "tsd": (tsd, "ctsd")}
 
 

@@ -33,6 +33,7 @@ from sclkit import (
     parse,
     substitute,
 )
+from sclkit import normalize, terms
 from sclkit.axioms import dual_equation, eqfscl_axioms
 from sclkit.generate import (
     random_fterm,
@@ -381,6 +382,9 @@ def test_helpers_match_the_unmemoized_reference(seed):
     draws += [random_star_term(rng, budget=rng.randint(1, 4)) for _ in range(40)]
     draws += [random_tterm(rng, max_depth=3) for _ in range(15)] + [random_fterm(rng, max_depth=3) for _ in range(15)]
     draws += [random_lterm(rng) for _ in range(10)] + [parse("a"), parse("!a")]
+    # terms outside the grammar, which the helpers take in as opaque nodes
+    draws += [parse("$x", "open"), parse("a <| b |> c"), parse("a &.& b"), parse("!!a")]
+    draws += [random_scl_term(rng, max_depth=rng.randint(1, 4)) for _ in range(10)]
     unary = [(neg_nf, reference_neg_nf), (neg_star, reference_neg_star)]
     binary = [
         (and_nf, reference_and_nf),
@@ -481,3 +485,57 @@ def test_nf_on_a_right_nested_chain():
     normal = nf(chain)
     assert classify(normal) is SnfClass.T_STAR_TERM
     assert eval_tree(normal) is eval_tree(chain)
+
+
+def test_nf_takes_long_negated_and_disjoined_chains():
+    # the negation of a chain's normal form walks its c-term, and the
+    # conjunction in a disjunction walks the negated d-term, along the left
+    # spine in a loop
+    chain = reduce(And, [Atom(f"a{i}") for i in range(10_000)])
+    for t in (Not(chain), Or(chain, parse("b"))):
+        normal = nf(t)
+        assert classify(normal) is SnfClass.T_STAR_TERM
+        assert eval_tree(normal) is eval_tree(t)
+    rng = random.Random(21)
+    units = [parse("a"), parse("!a"), parse("b"), parse("a || b"), parse("!a || b && c"), parse("a && !b")]
+    for n in (1, 2, 3, 5, 10, 20):
+        for _ in range(5):
+            chain = reduce(And, [rng.choice(units) for _ in range(n)])
+            for t in (Not(chain), Or(chain, rng.choice(units)), Or(chain, FALSE)):
+                assert outcome(nf, t, None) == outcome(reference_nf, t, None)
+
+
+def test_nf_interns_only_its_normal_form(monkeypatch):
+    # the clauses run on a node table made for the call; the terms entered
+    # into the unique table are those of the result, each at most once, and
+    # every node carries the category classify gives its term
+    entered, tables = [], []
+
+    class Recording(normalize._Helpers):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    def counting(key, obj, enter=terms._enter):
+        entered.append(key)
+        return enter(key, obj)
+
+    rng = random.Random(22)
+    cases = [random_scl_term(rng, max_depth=rng.randint(1, 7)) for _ in range(3_000)]
+    shared = parse("c")
+    for i in range(30):
+        shared = Or(And(shared, parse("a")), Not(shared)) if i % 2 else And(Or(shared, parse("b")), shared)
+    cases.append(shared)
+    monkeypatch.setattr(normalize, "_Helpers", Recording)
+    monkeypatch.setattr(terms, "_enter", counting)
+    for t in cases:
+        entered.clear()
+        normal = nf(t, cap=None)
+        assert len(entered) <= len(set(postorder(normal))), t
+    assert len(tables) == len(cases)
+    for t, table in zip(cases, tables):
+        for n in range(len(table.cat)):
+            assert classify(table.export(n)) is table.cat[n], (t, n)
+    assert sum(len(table.cat) for table in tables) > 30_000
