@@ -22,15 +22,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _node_cap(text: str) -> int:
-    """The ``--cap`` argument type: a non-negative node count."""
+def _count(text: str) -> int:
+    """The ``--cap`` and ``--count`` argument type: a non-negative integer."""
     try:
-        cap = int(text)
+        n = int(text)
     except ValueError:
-        cap = None
-    if cap is None or cap < 0:
+        n = None
+    if n is None or n < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return cap
+    return n
 
 
 def _read_tree(text: str):
@@ -294,7 +294,7 @@ def _build_parser() -> _ArgumentParser:
         return p
 
     def add_cap(p):
-        p.add_argument("--cap", type=_node_cap, default=DEFAULT_NODE_CAP, help="node cap")
+        p.add_argument("--cap", type=_count, default=DEFAULT_NODE_CAP, help="node cap")
 
     p = add("se", _cmd_se, "evaluation tree of an expression")
     p.add_argument("expr")
@@ -336,7 +336,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = add("fuzz", _cmd_fuzz, "randomized round-trip suite")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     return parser
 

@@ -11,7 +11,7 @@ from random import Random
 from typing import Sequence
 
 from .terms import FALSE, TRUE, And, Atom, Cond, FullAnd, FullOr, Not, Or, Term, Var
-from .trees import Leaf, Node, Tree, _shape
+from .trees import _ATOM_SHAPE, _FALSE_SHAPE, _TRUE_SHAPE, Leaf, Node, Tree, _continued
 from .trees import eval_tree  # noqa: F401  (bench/worker.py traces generate.eval_tree)
 
 DEFAULT_ATOMS = ("a", "b", "c")
@@ -28,21 +28,32 @@ def random_scl_term(
     ``max_size`` bounds the node count; without it the depth bound alone
     leaves a heavy tail of terms whose evaluation trees are huge.
     """
+    return _shaped_scl_term(rng, atoms, max_depth, max_size)[0]
+
+
+def _shaped_scl_term(
+    rng: Random, atoms: Sequence[str], max_depth: int, max_size: int | None
+) -> tuple[Term, tuple[int, int, int]]:
+    """``random_scl_term``'s draw, with the shape of its evaluation tree
+    (as ``trees._shape`` gives it) composed as each node is drawn."""
     budget = [max_size if max_size is not None else 1 << 62]
 
-    def go(depth: int) -> Term:
+    def go(depth: int) -> tuple[Term, tuple[int, int, int]]:
         budget[0] -= 1
         if depth <= 0 or budget[0] <= 0 or rng.random() < 0.28:
             roll = rng.random()
             if roll < 0.7:
-                return Atom(rng.choice(atoms))
-            return TRUE if roll < 0.85 else FALSE
+                return Atom(rng.choice(atoms)), _ATOM_SHAPE
+            return (TRUE, _TRUE_SHAPE) if roll < 0.85 else (FALSE, _FALSE_SHAPE)
         kind = rng.choice(("not", "and", "and", "or", "or"))
         if kind == "not":
-            return Not(go(depth - 1))
-        left = go(depth - 1)
-        right = go(depth - 1)
-        return And(left, right) if kind == "and" else Or(left, right)
+            arg, (size, t, f) = go(depth - 1)
+            return Not(arg), (size, f, t)
+        left, l = go(depth - 1)
+        right, r = go(depth - 1)
+        if kind == "and":
+            return And(left, right), _continued(l, r, _FALSE_SHAPE)
+        return Or(left, right), _continued(l, _TRUE_SHAPE, r)
 
     return go(max_depth)
 
@@ -120,15 +131,15 @@ def random_substitution(
 
     ``max_tree`` rejection-samples terms whose evaluation tree is larger;
     law templates compose the trees of all their variables multiplicatively,
-    so unbounded draws would occasionally dwarf any node cap.  The size is
-    found by arithmetic; no tree is built.
+    so unbounded draws would occasionally dwarf any node cap.  Each draw
+    comes with its tree's size, composed as it is drawn; no tree is built.
     """
     out = {}
-    for v in sorted(variables):
-        term = random_scl_term(rng, atoms, max_depth)
+    for v in sorted(variables):  # each draw at random_scl_term's default max_size
+        term, shape = _shaped_scl_term(rng, atoms, max_depth, 40)
         if max_tree is not None:
-            while _shape(term, None)[0] > max_tree:
-                term = random_scl_term(rng, atoms, max_depth)
+            while shape[0] > max_tree:
+                term, shape = _shaped_scl_term(rng, atoms, max_depth, 40)
         out[v] = term
     return out
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import DEFAULT_NODE_CAP, ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
 from .terms import FALSE, TRUE, And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
@@ -168,14 +168,19 @@ def eval_tree(term: Term, cap: int | None = DEFAULT_NODE_CAP) -> Tree:
 _TRUE_SHAPE, _FALSE_SHAPE, _ATOM_SHAPE = (1, 1, 0), (1, 0, 1), (3, 1, 1)
 
 
-def _shape(term: Term, cap: int | None, shapes: dict | None = None) -> tuple[int, int, int]:
+def _shape(
+    term: Term, cap: int | None, shapes: dict | None = None, subst: Mapping[str, Term] | None = None
+) -> tuple[int, int, int]:
     """``(size, T-leaves, F-leaves)`` of the tree of ``term``, by arithmetic.
 
     Each distinct subterm is visited once, without recursion, and in
     evaluation order (left before right, the guard before the branches),
     so the first error met is the one a recursive fold would raise.
     ``shapes`` is a memo the caller may share between calls with one
-    ``cap``; a subterm found in it is not visited again.
+    ``cap`` and ``subst``; a subterm found in it is not visited again.
+    A variable bound in ``subst`` is read as its binding, whose subterms
+    are checked where the variable is met, so ``term`` is shaped as if the
+    binding were substituted, without building the substituted term.
     """
     shapes = {} if shapes is None else shapes  # also the visited set
     shapes[TRUE], shapes[FALSE] = _TRUE_SHAPE, _FALSE_SHAPE
@@ -193,6 +198,12 @@ def _shape(term: Term, cap: int | None, shapes: dict | None = None) -> tuple[int
                 stack.append(s.left if l is None else s.right)
                 continue
             shape = _continued(l, r, _FALSE_SHAPE) if cls is And else _continued(l, _TRUE_SHAPE, r)
+        elif cls is Var:
+            if subst is None or (b := subst.get(s.name)) is None:
+                raise NonClosedTerm(f"cannot evaluate open term: ${s.name}")
+            if (shape := shapes.get(b)) is None:
+                stack.append(b)
+                continue
         elif cls is Cond:
             g, a, b = shapes.get(s.guard), shapes.get(s.then), shapes.get(s.orelse)
             if g is None or a is None or b is None:
@@ -201,8 +212,6 @@ def _shape(term: Term, cap: int | None, shapes: dict | None = None) -> tuple[int
             shape = _continued(g, a, b)
         elif cls is Atom:
             shape = _ATOM_SHAPE
-        elif cls is Var:
-            raise NonClosedTerm(f"cannot evaluate open term: ${s.name}")
         elif cls is FullAnd or cls is FullOr:
             raise ModeViolation("full-sequential connectives must be expanded before evaluation")
         else:  # pragma: no cover
@@ -228,13 +237,15 @@ def _node(k_true: Tree, atom: Atom, k_false: Tree) -> Node:
     return Node(atom.name, k_true, k_false)
 
 
-def _build(term: Term, k_true, k_false, leaf: Callable, done: dict | None = None):
+def _build(term: Term, k_true, k_false, leaf: Callable, done: dict | None = None, subst: Mapping | None = None):
     """``term`` read as ``eval_tree`` reads it, with ``k_true``/``k_false``
     at its T/F-leaves: the one evaluator of trees and basic forms, for terms
     already checked.  An atom ``a`` becomes ``leaf(kt, a, kf)``: ``_node``
-    for trees, ``Cond`` for basic forms.  Constants and atoms are read where
-    met; each (term, continuation, continuation) triple is built once per
-    ``done``, a memo the caller may share between calls with one ``leaf``.
+    for trees, ``Cond`` for basic forms, or an id in a caller's own
+    hash-consing table.  A variable is read as its binding in ``subst``.
+    Constants and atoms are read where met; each (term, continuation,
+    continuation) triple is built once per ``done``, a memo the caller may
+    share between calls with one ``leaf`` and ``subst``.
     """
     done = {} if done is None else done
 
@@ -259,6 +270,8 @@ def _build(term: Term, k_true, k_false, leaf: Callable, done: dict | None = None
             step = (s.right, kt, kf) if (x := read(s.right, kt, kf)) is None else (s.left, x, kf)
         elif cls is Or:
             step = (s.right, kt, kf) if (y := read(s.right, kt, kf)) is None else (s.left, kt, y)
+        elif cls is Var:
+            step = subst[s.name], kt, kf
         elif (x := read(s.then, kt, kf)) is None:
             step = s.then, kt, kf
         elif (y := read(s.orelse, kt, kf)) is None:

@@ -261,6 +261,25 @@ def test_fuzz_is_deterministic(capsys):
     assert data["checks"]["invert_roundtrip"] == 25
 
 
+def test_fuzz_output_is_pinned(capsys):
+    """The bytes a fixed run prints, as the recursive generator gave them."""
+    assert run(capsys, "fuzz", "--count", "20", "--seed", "7") == (
+        0,
+        '{"checks": {"engines_agree": 20, "invert_roundtrip": 20, "normal_form_preserves_tree": 20}, '
+        '"count": 20, "failures": [], "pass": true, "seed": 7}\n',
+        "",
+    )
+
+
+def test_fuzz_count_must_not_be_negative(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--count", "-3", "--seed", "1"])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == "" and "expected a non-negative integer, got '-3'" in err
+    assert run(capsys, "fuzz", "--count", "0", "--seed", "1")[0] == 0
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["eq", "only-one-arg"])

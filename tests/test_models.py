@@ -40,8 +40,8 @@ from sclkit import (
     valid_in_free_model,
     validates,
 )
-from sclkit import generate, models
-from sclkit.axioms import eqfscl_axioms, eqfscl_minus
+from sclkit import generate, models, terms, trees
+from sclkit.axioms import cp_axioms, derived_laws, dual_equation, eqfscl_axioms, eqfscl_minus
 from sclkit.generate import random_scl_term, random_substitution, random_term
 from sclkit.terms import postorder
 from sclkit.trees import DEFAULT_NODE_CAP
@@ -206,18 +206,47 @@ def test_valid_in_free_model():
     assert again.witness == result.witness
 
 
-# ``random_substitution`` as it was, building each draw's tree to read its
-# size, and ``valid_in_free_model`` on top of it, comparing trees by text:
-# the oracles for the arithmetic size check.
+def test_free_model_samples_must_not_be_negative():
+    swap = Equation(parse("$x && $y", "open"), parse("$y && $x", "open"))
+    with pytest.raises(ValueError, match="non-negative"):
+        valid_in_free_model(swap, samples=-2)
+    assert valid_in_free_model(swap, samples=0) == FreeModelCheck(True, None, 0)
+
+
+# ``random_scl_term`` and ``random_substitution`` as they were, the one
+# drawing by plain recursion and the other building each draw's tree to
+# read its size, and ``valid_in_free_model`` on top of them, substituting
+# and comparing trees by text: the oracles for the shaped draws and for
+# the template read.
+
+
+def reference_random_scl_term(rng, atoms=("a", "b", "c"), max_depth=6, max_size=40):
+    budget = [max_size if max_size is not None else 1 << 62]
+
+    def go(depth):
+        budget[0] -= 1
+        if depth <= 0 or budget[0] <= 0 or rng.random() < 0.28:
+            roll = rng.random()
+            if roll < 0.7:
+                return Atom(rng.choice(atoms))
+            return TRUE if roll < 0.85 else FALSE
+        kind = rng.choice(("not", "and", "and", "or", "or"))
+        if kind == "not":
+            return Not(go(depth - 1))
+        left = go(depth - 1)
+        right = go(depth - 1)
+        return And(left, right) if kind == "and" else Or(left, right)
+
+    return go(max_depth)
 
 
 def reference_random_substitution(rng, variables, atoms=("a", "b", "c"), max_depth=6, max_tree=120):
     out = {}
     for v in sorted(variables):
-        term = random_scl_term(rng, atoms, max_depth)
+        term = reference_random_scl_term(rng, atoms, max_depth)
         if max_tree is not None:
             while eval_tree(term, cap=None).size > max_tree:
-                term = random_scl_term(rng, atoms, max_depth)
+                term = reference_random_scl_term(rng, atoms, max_depth)
         out[v] = term
     return out
 
@@ -246,6 +275,31 @@ def test_law_check_layers_stay_reachable_by_name():
     assert models.eval_tree is eval_tree and generate.eval_tree is eval_tree
     assert models.substitute is substitute
     assert models.random_substitution is random_substitution
+
+
+def test_free_model_samples_substitute_and_intern_nothing(monkeypatch):
+    """A sample reads the templates against its substitution and builds
+    into a table of its own: no substituted term, no interned tree node."""
+
+    def forbidden(*args):
+        raise AssertionError("called during a free-model sample")
+
+    monkeypatch.setattr(terms, "substitute", forbidden)
+    monkeypatch.setattr(models, "substitute", forbidden)
+    monkeypatch.setattr(trees.Node, "__new__", forbidden)
+    assert valid_in_free_model(_AX["F10"], samples=40, seed=3).valid
+    assert not valid_in_free_model(Equation(parse("$x && $y", "open"), parse("$y && $x", "open"))).valid
+
+
+def test_random_scl_term_draws_the_reference_stream():
+    """The draws, and the generator state they leave, are pinned by the
+    recursive generator as it was, which shares no code with the package."""
+    rng, ref = Random(7), Random(7)
+    for i in range(2_000):
+        depth, size = 1 + i % 8, (40, 5, None)[i // 8 % 3]
+        got = random_scl_term(rng, max_depth=depth, max_size=size)
+        assert got is reference_random_scl_term(ref, max_depth=depth, max_size=size), i
+    assert rng.getstate() == ref.getstate()
 
 
 def test_random_substitution_matches_the_tree_built_reference():
@@ -278,6 +332,29 @@ def test_valid_in_free_model_matches_the_reference():
                 too_large += got == (TreeTooLarge, f"tree exceeds the node cap of {cap}")
     assert witnesses >= 100
     assert 240 <= too_large < 480  # cap 5 always stops a run; cap 30 not always
+
+
+def test_every_criterion_2_template_matches_the_reference():
+    """All 31 criterion-2 equations, the conditional ones and F10 (whose
+    ``$z`` occurs three times) among them, and a template whose left side
+    is full-sequential: it fails on sight, before any binding is shaped,
+    so at cap 5 the mode error comes before any size error."""
+    base = eqfscl_axioms()
+    laws = base + [dual_equation(e) for e in base] + cp_axioms() + derived_laws()
+    assert len(laws) == 31
+    full = Equation(FullAnd(Var("x"), Var("y")), And(Var("x"), Var("y")), "full")
+    mode_error = (ModeViolation, "full-sequential connectives must be expanded before evaluation")
+    outcomes = set()
+    for seed in range(6):
+        for eq in laws + [full]:
+            for cap in (None, 5, 30):
+                got = _outcome(valid_in_free_model, eq, samples=25, seed=seed, cap=cap)
+                assert got == _outcome(reference_valid_in_free_model, eq, 25, seed, cap), (eq, seed, cap)
+                if eq is full:
+                    assert got == mode_error
+                outcomes.add(got if isinstance(got, tuple) else got.valid)
+    too_large = [(TreeTooLarge, f"tree exceeds the node cap of {cap}") for cap in (5, 30)]
+    assert outcomes == {True, mode_error, *too_large}
 
 
 # ``eval_in_model`` and ``validates`` as they were, one recursive evaluation

@@ -27,7 +27,7 @@ ALLOWED = {
     "terms._from_json",
     "trees._tree_from_json",
     # the random generators, bounded by their max_depth
-    "generate.random_scl_term.go",
+    "generate._shaped_scl_term.go",
     "generate.random_cp_term",
     "generate.random_term",
     "generate.random_tree",
