@@ -6,11 +6,13 @@ basic branches; they are in structural bijection with evaluation trees.
 continuation-passing evaluator behind ``eval_tree``: a term is read with
 the basic forms (or trees) to continue into where it ends true and where
 it ends false, and a conditional reads its guard with its two branches'
-results as those continuations.  Terms are interned, so each distinct
-(term, continuation, continuation) triple is built once and the object
-graph stays linear in the input.  ``scl_to_cp`` eliminates the
-short-circuit connectives in favour of the conditional.  Every function
-here uses an explicit stack and visits each distinct object once.
+results as those continuations.  Each distinct (term, continuation,
+continuation) triple is built once, so the object graph stays linear in
+the input.  ``scl_to_cp`` eliminates the short-circuit connectives in
+favour of the conditional.  ``decide_eq_cp`` builds no basic form as a
+term: it builds both sides' forms into one table of int nodes made for
+the call and compares their ids.  Every function here uses an explicit
+stack and visits each distinct object once.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .terms import (
     postorder,
 )
 from .trees import DEFAULT_NODE_CAP, Leaf, Tree, _FALSE_SHAPE, _TRUE_SHAPE, _build, _children, _continued, _node
+from .trees import _same_build
 
 
 def _basic_children(t: Term) -> tuple[Term, ...]:
@@ -171,6 +174,14 @@ def scl_to_cp(t: Term) -> Term:
 def decide_eq_cp(p: Term, q: Term, cap: int | None = DEFAULT_NODE_CAP) -> bool:
     """Decide tree equality of two closed enriched terms via basic forms.
 
-    Terms are interned, so equal basic forms are one object.
+    Each side is translated and then checked against ``cap`` as
+    ``basic_form`` checks it, ``p`` first.  The two forms are built into
+    one hash-consing table made for the call, in which equal basic forms
+    are one int node (``trees._same_build``), and the two ids are compared;
+    no form is built as a term.
     """
-    return basic_form(scl_to_cp(p), cap) is basic_form(scl_to_cp(q), cap)
+    p = scl_to_cp(p)
+    _check(p, cap)
+    q = scl_to_cp(q)
+    _check(q, cap)
+    return _same_build(p, q)

@@ -12,9 +12,10 @@ the cited closed refutation.
 ``valid_in_free_model`` checks an equation against tree semantics under
 seeded random closed substitutions instead.  A sample reads the equation's
 sides as templates against its substitution, so no substituted term is
-made; it shapes and builds both sides with shared memos into a per-sample
-table of int nodes, and compares the two ids.  Each draw of the
-substitution comes with its tree's size, which its rejection test reads.
+made; ``trees.same_tree`` shapes and builds both sides with shared memos
+into a per-sample table of int nodes, and compares the two ids.  Each draw
+of the substitution comes with its tree's size, which its rejection test
+reads.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .terms import (
     postorder,
 )
 from .terms import substitute  # noqa: F401  (bench/worker.py traces models.substitute)
-from .trees import DEFAULT_NODE_CAP, Leaf, _build, _shape
+from .trees import DEFAULT_NODE_CAP, same_tree
 from .trees import eval_tree  # noqa: F401  (bench/worker.py traces models.eval_tree)
 
 Assignment = Mapping[str, int]
@@ -374,10 +375,11 @@ def valid_in_free_model(
     substitutions; a failure reports the witnessing substitution.
 
     Each sample reads the two sides of ``eq`` as templates, each variable
-    as its binding: no substituted term is made.  It checks both sides
-    (left first) against ``cap`` by arithmetic, and then builds their trees
-    with one memo into a hash-consing table of the sample's own, in which
-    a node is an int, so equal trees have one id.  No tree is interned.
+    as its binding: no substituted term is made.  ``same_tree`` checks
+    both sides (left first) against ``cap`` by arithmetic, and then builds
+    their trees with one memo into a hash-consing table of the sample's
+    own, in which a node is an int, so equal trees have one id.  No tree
+    is interned.
     """
     if samples < 0:
         raise ValueError(f"samples must be a non-negative count, got {samples}")
@@ -386,13 +388,7 @@ def valid_in_free_model(
     lhs, rhs = eq.lhs, eq.rhs
     for i in range(samples):
         subst = random_substitution(rng, names, atoms, max_depth)
-        shapes, done, table = {}, {}, {}
-        _shape(lhs, cap, shapes, subst)
-        _shape(rhs, cap, shapes, subst)
-        node = lambda kt, atom, kf: table.setdefault((atom, kt, kf), len(table))
-        if _build(lhs, Leaf.TRUE, Leaf.FALSE, node, done, subst) != _build(
-            rhs, Leaf.TRUE, Leaf.FALSE, node, done, subst
-        ):
+        if not same_tree(lhs, rhs, cap, subst):
             return FreeModelCheck(False, subst, i + 1)
     return FreeModelCheck(True, None, samples)
 

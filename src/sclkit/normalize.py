@@ -9,10 +9,11 @@ combination is a conjunction or a disjunction.
 ``nf`` rewrites any closed short-circuit term into this form while keeping
 its evaluation tree unchanged.  It runs the clauses on a node table made for
 the call and interns only the normal form it returns: each tree has one
-normal form, so how the intermediate terms are built does not show.  The
-negation and conjunction helpers are exposed so each defining clause is
-unit-testable; they reject inputs outside their grammar category with
-NotInNormalForm.
+normal form, so how the intermediate terms are built does not show.
+``decide_eq`` folds both sides into one such table and compares their
+nodes, so it interns nothing.  The negation and conjunction helpers are
+exposed so each defining clause is unit-testable; they reject inputs
+outside their grammar category with NotInNormalForm.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .terms import (
     Var,
     postorder,
 )
-from .trees import DEFAULT_NODE_CAP, eval_tree
+from .trees import DEFAULT_NODE_CAP, same_tree
+from .trees import eval_tree  # noqa: F401  (bench/worker.py traces normalize.eval_tree)
 
 
 class SnfClass(Enum):
@@ -152,37 +154,13 @@ def _scl_children(t: Term) -> tuple[Term, ...]:
 def nf(t: Term, cap: int | None = DEFAULT_NODE_CAP) -> Term:
     """Normalize a closed short-circuit term, preserving its evaluation tree.
 
-    Each distinct subterm is normalized once, without recursion, in the
-    order a recursive definition would take, so the first error met is the
-    one raised.  ``cap`` bounds the node count of every compound subterm's
-    normal form.  The clauses run on a ``_Helpers`` table made for the
-    call, and only the normal form of ``t`` is interned, at the end.
+    ``cap`` bounds the node count of every compound subterm's normal form.
+    The clauses run on a ``_Helpers`` table made for the call
+    (``_Helpers.fold``), and only the normal form of ``t`` is interned, at
+    the end.
     """
-    h, done = _Helpers(), {}
-    node, cat, size = h.node, h.cat, h.size
-    for s in postorder(t, _scl_children):
-        cls = type(s)
-        if cls is Const:
-            n = 0 if s.value else 1
-        elif cls is Atom:
-            a = h.add(s, Atom, None, None, _NO, 1, s)
-            n = node(And, 0, node(Or, node(And, a, 0, _NO), 1, _L), _TS)
-        elif cls is Not:
-            n = h.neg_nf(done[s.arg])
-        elif cls is And:
-            n = h.and_nf(done[s.left], done[s.right])
-        elif cls is Or:
-            n = done[s.left]
-            if cat[n] is not _T:  # else P || Q has the tree of the T-term P
-                n = h.neg_nf(h.and_nf(h.neg_nf(n), h.neg_nf(done[s.right])))
-        elif cls is Var:
-            raise NonClosedTerm(f"cannot normalize open term: ${s.name}")
-        else:
-            raise ModeViolation(f"cannot normalize {cls.__name__} nodes")
-        if cap is not None and size[n] > cap and s.node_count > 1:  # a compound subterm
-            raise TreeTooLarge(f"normal form exceeds the node cap of {cap}")
-        done[s] = n
-    return h.export(done[t])
+    h = _Helpers()
+    return h.export(h.fold(t, cap))
 
 
 class _Helpers:
@@ -225,6 +203,40 @@ class _Helpers:
         if (n := self.ids.get((cls, left, right))) is None:
             n = self.add((cls, left, right), cls, left, right, cat, self.size[left] + self.size[right] + 1)
         return n
+
+    def fold(self, t: Term, cap: int | None) -> int:
+        """The node of the normal form of the closed short-circuit term ``t``.
+
+        Each distinct subterm is normalized once, without recursion, in the
+        order a recursive definition would take, so the first error met is
+        the one raised.  ``cap`` bounds the node count of every compound
+        subterm's normal form.  An atom keeps the node it has in the table,
+        so terms folded into one table share their nodes.
+        """
+        node, cat, size, ids, done = self.node, self.cat, self.size, self.ids, {}
+        for s in postorder(t, _scl_children):
+            cls = type(s)
+            if cls is Const:
+                n = 0 if s.value else 1
+            elif cls is Atom:
+                a = ids[s] if s in ids else self.add(s, Atom, None, None, _NO, 1, s)
+                n = node(And, 0, node(Or, node(And, a, 0, _NO), 1, _L), _TS)
+            elif cls is Not:
+                n = self.neg_nf(done[s.arg])
+            elif cls is And:
+                n = self.and_nf(done[s.left], done[s.right])
+            elif cls is Or:
+                n = done[s.left]
+                if cat[n] is not _T:  # else P || Q has the tree of the T-term P
+                    n = self.neg_nf(self.and_nf(self.neg_nf(n), self.neg_nf(done[s.right])))
+            elif cls is Var:
+                raise NonClosedTerm(f"cannot normalize open term: ${s.name}")
+            else:
+                raise ModeViolation(f"cannot normalize {cls.__name__} nodes")
+            if cap is not None and size[n] > cap and s.node_count > 1:  # a compound subterm
+                raise TreeTooLarge(f"normal form exceeds the node cap of {cap}")
+            done[s] = n
+        return done[t]
 
     def load(self, t: Term) -> int:
         """The node of ``t``, with the categories ``classify`` gives, in one fold
@@ -456,13 +468,17 @@ def or_nf(p: Term, q: Term) -> Term:
 def decide_eq(p: Term, q: Term, engine: str = "tree", cap: int | None = DEFAULT_NODE_CAP) -> bool:
     """Decide whether two closed terms have the same evaluation tree.
 
-    Engine ``"tree"`` compares the evaluation trees directly; engine
-    ``"nf"`` compares normal forms.  Trees and terms are interned, so either
-    comparison is one identity test.  The two agree on every closed
-    short-circuit pair.
+    Engine ``"tree"`` compares the evaluation trees (``trees.same_tree``);
+    engine ``"nf"`` compares normal forms, folding ``p`` and then ``q`` into
+    one ``_Helpers`` table.  Either engine builds both sides into one table
+    made for the call, in which equal trees, or equal normal forms, are one
+    int node, and compares the two ids: nothing is interned.  Each raises
+    what ``eval_tree`` or ``nf`` raises on ``p`` and then on ``q``.  The
+    two agree on every closed short-circuit pair.
     """
     if engine == "tree":
-        return eval_tree(p, cap) is eval_tree(q, cap)
+        return same_tree(p, q, cap)
     if engine == "nf":
-        return nf(p, cap) is nf(q, cap)
+        h = _Helpers()
+        return h.fold(p, cap) == h.fold(q, cap)
     raise ValueError(f"unknown engine: {engine!r}")

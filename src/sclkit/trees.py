@@ -10,7 +10,9 @@ is identity, and every builder shares subtrees.  The unique table
 (``terms.unique_table``) holds weak references (it does not outlive the
 trees) and is filled by ``dict.setdefault``, so threads that build one
 structure at once get one node.  Nodes cache size (logical, not of the
-object graph), depth, leaf counts and leaf flags.
+object graph), depth, leaf counts and leaf flags.  ``same_tree`` decides
+whether two terms have one tree without making nodes: it builds both into
+a table of int nodes made for the call.
 """
 
 from __future__ import annotations
@@ -283,6 +285,31 @@ def _build(term: Term, k_true, k_false, leaf: Callable, done: dict | None = None
         else:
             done[stack.pop()] = result
     return done[term, k_true, k_false]
+
+
+def same_tree(p: Term, q: Term, cap: int | None = DEFAULT_NODE_CAP, subst: Mapping | None = None) -> bool:
+    """Whether ``p`` and ``q`` have one evaluation tree, a variable read as
+    its binding in ``subst``: both are checked against ``cap`` as
+    ``eval_tree`` checks them, ``p`` first and with one memo, and then
+    built by ``_same_build``.  No node is interned.
+    """
+    shapes = {}
+    _shape(p, cap, shapes, subst)
+    _shape(q, cap, shapes, subst)
+    return _same_build(p, q, subst)
+
+
+def _same_build(p: Term, q: Term, subst: Mapping | None = None) -> bool:
+    """Whether the checked terms ``p`` and ``q`` build one tree (or basic
+    form): both are built by ``_build`` with one memo into a hash-consing
+    table made for the call, ``(atom, kt, kf) -> int``, so equal trees get
+    one id.  The continuations are leaves, never ints, which would be taken
+    for the table's first ids.
+    """
+    done, table = {}, {}
+    node = lambda kt, atom, kf: table.setdefault((atom, kt, kf), len(table))
+    t, f = Leaf.TRUE, Leaf.FALSE
+    return _build(p, t, f, node, done, subst) == _build(q, t, f, node, done, subst)
 
 
 def _check_atom(atom, known: set[str]) -> None:
