@@ -22,6 +22,9 @@ disjoint and holing them removes exactly ``occ * T(core)`` T-leaves and
 ``occ * F(core)`` F-leaves.  This is the coverage rule: the context keeps
 a T-leaf iff ``occ * T(core) < T(tree)``, and likewise for F.  Only the
 contexts that are returned get built, each by one pass over the numbers.
+
+``witness`` reads a *-term's categories off one normal-form node table
+(``normalize._Helpers``) that it loads the term into once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import NotStarTerm
-from .normalize import SnfClass, classify, is_star_class
+from .normalize import SnfClass, _Helpers, is_star_class
 from .terms import Term, postorder
 from .trees import Leaf, Node, Tree, _children, eval_tree
 
@@ -185,9 +188,15 @@ def is_nondecomposable(z: Tree) -> bool:
 
 
 def witness(p: Term) -> Tree:
-    """Evaluation tree of the rightmost literal unit of a *-term."""
-    if not is_star_class(classify(p)):
-        raise NotStarTerm(f"expected a *-term, got {classify(p).label}: {p}")
-    while classify(p) in (SnfClass.C_TERM, SnfClass.D_TERM):
-        p = p.right
-    return eval_tree(p)
+    """Evaluation tree of the rightmost literal unit of a *-term.
+
+    ``p`` is loaded once into a normal-form node table, and its right
+    operands are walked by node, so the walk is linear in ``p``'s size.
+    """
+    h = _Helpers()
+    n = h.load(p)
+    if not is_star_class(h.cat[n]):
+        raise NotStarTerm(f"expected a *-term, got {h.cat[n].label}: {p}")
+    while h.cat[n] in (SnfClass.C_TERM, SnfClass.D_TERM):
+        n = h.right[n]
+    return eval_tree(h.term[n])

@@ -11,9 +11,11 @@ its evaluation tree unchanged.  It runs the clauses on a node table made for
 the call and interns only the normal form it returns: each tree has one
 normal form, so how the intermediate terms are built does not show.
 ``decide_eq`` folds both sides into one such table and compares their
-nodes, so it interns nothing.  The negation and conjunction helpers are
-exposed so each defining clause is unit-testable; they reject inputs
-outside their grammar category with NotInNormalForm.
+nodes, so it interns nothing.  ``classify`` loads a term into such a
+table, which gives each distinct subterm its category once, from the
+categories of its operands; nothing is kept on the term.  The negation and
+conjunction helpers are exposed so each defining clause is unit-testable;
+they reject inputs outside their grammar category with NotInNormalForm.
 """
 
 from __future__ import annotations
@@ -70,72 +72,13 @@ def classify(t: Term) -> SnfClass:
 
     Every term in normal form is a T-term, an F-term, or a T-*-term at top
     level; the finer *-term categories classify the left/right parts.  The
-    category is cached in the term's ``_snf_cat`` slot (terms are interned,
-    so it is computed once per live term).  On a miss, the subterms whose
-    categories ``_classify`` asks for are filled first, from an explicit
-    stack.  ``nf`` does not call it: its clauses record the category of
-    each node they build.
+    term is loaded into a node table made for the call, which gives each of
+    its distinct subterms its category once, operands first
+    (``_Helpers._category``); nothing is kept on the term.  ``nf`` does not
+    call it: its clauses record the category of each node they build.
     """
-    cat = t._snf_cat
-    if cat is None:
-        stack = [t]
-        while stack:
-            need = _classify(stack[-1])
-            if need.__class__ is SnfClass:
-                object.__setattr__(stack.pop(), "_snf_cat", need)
-            else:
-                stack.append(need)
-        cat = t._snf_cat
-    return cat
-
-
-def _classify(t: Term) -> SnfClass | Term:
-    """The category of ``t``, or the first subterm it reads whose category
-    is not known yet: the right operand, then the operand ``p`` of a left
-    operand ``a && p``, ``!a && p`` or ``a || p``, then the left operand.
-    """
-    cls = type(t)
-    if cls is Or or cls is And:
-        left, rc = t.left, t.right._snf_cat
-        if rc is None:
-            return t.right
-        if cls is Or:
-            if type(left) is And:
-                a, pc = left.left, left.right._snf_cat
-                if type(a) is Atom:
-                    if pc is None:
-                        return left.right
-                    if pc is SnfClass.T_TERM:
-                        if rc is SnfClass.T_TERM:
-                            return SnfClass.T_TERM
-                        if rc is SnfClass.F_TERM:
-                            return SnfClass.L_TERM
-                elif type(a) is Not and type(a.arg) is Atom:
-                    if pc is None:
-                        return left.right
-                    if pc is SnfClass.T_TERM and rc is SnfClass.F_TERM:
-                        return SnfClass.L_TERM
-            # a disjunction of a *-term with a c-term associates to the left
-            if (lc := left._snf_cat) is None:
-                return left
-            if lc in _STAR and (rc is SnfClass.L_TERM or rc is SnfClass.C_TERM):
-                return SnfClass.D_TERM
-            return SnfClass.NOT_SNF
-        if type(left) is Or and type(left.left) is Atom:
-            if (pc := left.right._snf_cat) is None:
-                return left.right
-            if pc is SnfClass.F_TERM and rc is SnfClass.F_TERM:
-                return SnfClass.F_TERM
-        if (lc := left._snf_cat) is None:
-            return left
-        if lc in _STAR and (rc is SnfClass.L_TERM or rc is SnfClass.D_TERM):
-            return SnfClass.C_TERM
-        if lc is SnfClass.T_TERM and rc in _STAR:
-            return SnfClass.T_STAR_TERM
-        return SnfClass.NOT_SNF
-    if cls is Const:
-        return SnfClass.T_TERM if t.value else SnfClass.F_TERM
-    return SnfClass.NOT_SNF
+    h = _Helpers()
+    return h.cat[h.load(t)]
 
 
 _T, _F, _L, _C, _D = SnfClass.T_TERM, SnfClass.F_TERM, SnfClass.L_TERM, SnfClass.C_TERM, SnfClass.D_TERM
@@ -172,7 +115,8 @@ class _Helpers:
     node's operand is both), category and node count; ``term`` holds the
     terms of nodes that have one, and ``ids`` maps ``(class, left, right)``,
     or a leaf's term, to its node.  Node 0 is T and node 1 is F.  Each
-    clause records the category of the node it builds; only ``export``
+    clause records the category of the node it builds, and ``load`` gives a
+    node the one ``_category`` reads off its operands; only ``export``
     makes terms.  A normal form is the one of its tree and negation is an
     involution, so each negation is entered in its memo both ways round.
     """
@@ -239,8 +183,9 @@ class _Helpers:
         return done[t]
 
     def load(self, t: Term) -> int:
-        """The node of ``t``, with the categories ``classify`` gives, in one fold
-        over its distinct subterms; other nodes than !, && and || are leaves."""
+        """The node of ``t``, in one fold over its distinct subterms; other
+        nodes than !, && and || are leaves.  A new node gets its category
+        from its operands' (``_category``), which the fold has given first."""
         ids, done = self.ids, {}
         for s in postorder(t, _scl_children):
             cls = type(s)
@@ -251,8 +196,32 @@ class _Helpers:
             else:
                 a = b = None
             key = s if a is None else (cls, a, b)
-            done[s] = ids[key] if key in ids else self.add(key, cls, a, b, classify(s), s.node_count, s)
+            if key not in ids:
+                self.add(key, cls, a, b, self._category(cls, a, b), s.node_count, s)
+            done[s] = ids[key]
         return done[t]
+
+    def _category(self, cls, l: int | None, r: int | None) -> SnfClass:
+        """The grammar category of a node ``cls(l, r)`` whose operands have
+        theirs.  A constant is node 0 or 1, so every other leaf is NOT_SNF."""
+        kind, left, right, cat = self.kind, self.left, self.right, self.cat
+        if cls is not And and cls is not Or:
+            return _NO
+        lc, rc = cat[l], cat[r]
+        if cls is Or:
+            if kind[l] is And and cat[right[l]] is _T:
+                a = left[l]
+                if kind[a] is Atom and (rc is _T or rc is _F):
+                    return _T if rc is _T else _L
+                if kind[a] is Not and kind[left[a]] is Atom and rc is _F:
+                    return _L
+            # a disjunction of a *-term with a c-term associates to the left
+            return _D if lc in _STAR and (rc is _L or rc is _C) else _NO
+        if kind[l] is Or and kind[left[l]] is Atom and cat[right[l]] is _F and rc is _F:
+            return _F
+        if lc in _STAR and (rc is _L or rc is _D):
+            return _C
+        return _TS if lc is _T and rc in _STAR else _NO
 
     def export(self, n: int) -> Term:
         """The interned term of node ``n``: the nodes it reaches that have no
@@ -401,17 +370,23 @@ class _Helpers:
         return result
 
     def and_star_tstar(self, s: int, q: int) -> int:
-        if (result := self.tstars.get((s, q))) is not None:
-            return result
-        if self.cat[q] is not _TS:
-            raise self.reject(q, "T-*-term")
-        qt, qs = self.left[q], self.right[q]
-        if self.cat[qs] is _C:
-            q2 = self.node(And, qt, self.left[qs], _TS)
-            result = self.node(And, self.and_star_tstar(s, q2), self.right[qs], _C)
-        else:  # an l- or d-term
-            result = self.node(And, self.and_star_tterm(s, qt), qs, _C)
-        self.tstars[s, q] = result
+        # q = t && (u && v) with a c-term u && v gives and_star_tstar(s, t && u) && v:
+        # the c-term's left spine is walked in a loop, down to the first pair
+        # whose star part is no c-term or whose result is known, then back up.
+        memo, cat, left, right = self.tstars, self.cat, self.left, self.right
+        spine = []
+        while (s, q) not in memo:
+            if cat[q] is not _TS:
+                raise self.reject(q, "T-*-term")
+            qt, qs = left[q], right[q]
+            if cat[qs] is not _C:  # an l- or d-term
+                memo[s, q] = self.node(And, self.and_star_tterm(s, qt), qs, _C)
+                break
+            spine.append(q)
+            q = self.node(And, qt, left[qs], _TS)
+        result = memo[s, q]
+        for q in reversed(spine):
+            result = memo[s, q] = self.node(And, result, right[right[q]], _C)
         return result
 
 

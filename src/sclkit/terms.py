@@ -11,8 +11,8 @@ structure, so structurally equal terms are one object, ``==`` and ``hash``
 are identity, and every builder shares subterms.  A term is immutable
 (assigning or deleting a field raises ``AttributeError``; copies and
 pickles give back the interned term) and caches its node count (logical,
-not of the object graph), the mask of the node classes it contains and, in
-a slot written once by ``normalize.classify``, its normal-form category.
+not of the object graph) and the mask of the node classes it contains,
+both set when it is built; nothing is written into a term afterwards.
 ``unique_table`` is the one interning primitive; ``trees.Node`` is built on
 it too.  Operations are pure functions.
 """
@@ -135,7 +135,7 @@ _table, _enter = unique_table()
 
 
 class _Fields(Term):
-    __slots__ = ("node_count", "_kinds", "_snf_cat", "__weakref__")
+    __slots__ = ("node_count", "_kinds", "__weakref__")
 
 
 class _ConstFields(_Fields):
@@ -169,7 +169,7 @@ class Const(_ConstFields, Interned):
         if ref is not None and (t := ref()) is not None:
             return t
         t = object.__new__(_ConstFields)
-        t.value, t.node_count, t._kinds, t._snf_cat = value, 1, cls._kind, None
+        t.value, t.node_count, t._kinds = value, 1, cls._kind
         t.__class__ = cls
         return _enter(key, t)
 
@@ -190,7 +190,7 @@ class _Name(_NameFields, Interned):
             return t
         _check_name(name, cls._what)
         t = object.__new__(_NameFields)
-        t.name, t.node_count, t._kinds, t._snf_cat = name, 1, cls._kind, None
+        t.name, t.node_count, t._kinds = name, 1, cls._kind
         t.__class__ = cls
         return _enter(key, t)
 
@@ -216,7 +216,7 @@ class Not(_NotFields, Interned):
         if ref is not None and (t := ref()) is not None:
             return t
         t = object.__new__(_NotFields)
-        t.arg, t.node_count, t._kinds, t._snf_cat = arg, 1 + arg.node_count, cls._kind | arg._kinds, None
+        t.arg, t.node_count, t._kinds = arg, 1 + arg.node_count, cls._kind | arg._kinds
         t.__class__ = cls
         return _enter(key, t)
 
@@ -231,7 +231,7 @@ class _Binary(_BinaryFields, Interned):
         if ref is not None and (t := ref()) is not None:
             return t
         t = object.__new__(_BinaryFields)
-        t.left, t.right, t._snf_cat = left, right, None
+        t.left, t.right = left, right
         t.node_count = 1 + left.node_count + right.node_count
         t._kinds = cls._kind | left._kinds | right._kinds
         t.__class__ = cls
@@ -269,7 +269,7 @@ class Cond(_CondFields, Interned):
         if ref is not None and (t := ref()) is not None:
             return t
         t = object.__new__(_CondFields)
-        t.then, t.guard, t.orelse, t._snf_cat = then, guard, orelse, None
+        t.then, t.guard, t.orelse = then, guard, orelse
         t.node_count = 1 + then.node_count + guard.node_count + orelse.node_count
         t._kinds = cls._kind | then._kinds | guard._kinds | orelse._kinds
         t.__class__ = cls

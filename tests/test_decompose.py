@@ -1,12 +1,18 @@
+import gc
 import random
+import time
 from functools import reduce
 
 import pytest
 
 import sclkit.decompose
+import sclkit.normalize
 import sclkit.trees
 from sclkit import (
+    FALSE,
+    TRUE,
     And,
+    Atom,
     Decomposition,
     Leaf,
     Node,
@@ -110,6 +116,43 @@ def test_witness_reconstructs():
         context = reference_replace_subtree(tree, w, Leaf.HOLE)
         assert context.has_hole
         assert graft(context, w) == tree
+
+
+def alternating_star(n):
+    """l0 && (l1 || (l2 && ...)): a right-nested *-term of ``n`` l-terms
+    whose c- and d-terms alternate, and the tree of its last l-term."""
+    units = [Or(And(Atom(f"a{i}"), TRUE), FALSE) for i in range(n)]
+    star = units[-1]
+    for i in range(n - 2, -1, -1):
+        star = (Or if i % 2 else And)(units[i], star)
+    return star, eval_tree(units[-1])
+
+
+def test_witness_is_linear_on_a_right_nested_star_term(monkeypatch):
+    # one load of the term, then a walk down its right operands by node: a
+    # witness that classified each right operand anew would be quadratic
+    loads = []
+
+    def counting(self, t, load=sclkit.normalize._Helpers.load):
+        loads.append(t)
+        return load(self, t)
+
+    monkeypatch.setattr(sclkit.normalize._Helpers, "load", counting)
+    best = {}
+    for n in (2_500, 5_000, 10_000):
+        star, last = alternating_star(n)
+        gc.collect()
+        times = []
+        for _ in range(5):
+            loads.clear()
+            start = time.perf_counter()
+            assert witness(star) is last
+            times.append(time.perf_counter() - start)
+            assert loads == [star]
+        best[n] = min(times)
+    doublings = [best[5_000] / best[2_500], best[10_000] / best[5_000]]
+    # 4 over the two doublings when linear, 16 when quadratic
+    assert best[10_000] / best[2_500] < 10, doublings
 
 
 def test_candidates_reconstruct_and_are_strict():

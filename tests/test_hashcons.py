@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +278,17 @@ def test_terms_are_immutable():
             with pytest.raises(AttributeError):
                 delattr(t, name)
     assert TRUE.value is True and Atom("a").name == "a"
+
+
+def test_no_source_file_writes_into_a_built_term():
+    # a term's fields are set on its fields class while it is built; no
+    # category or other cache is written into an interned object afterwards
+    files = sorted(Path(sclkit.terms.__file__).parent.rglob("*.py"))
+    assert len(files) > 10
+    for path in files:
+        text = path.read_text()
+        for word in ("object.__setattr__", "_snf_cat"):
+            assert word not in text, (path.name, word)
 
 
 def _term_entries(atoms):

@@ -25,6 +25,7 @@ from sclkit import (
     classify,
     decide_eq,
     eval_tree,
+    invert,
     leaf_profile,
     neg_nf,
     neg_star,
@@ -45,8 +46,8 @@ from sclkit.generate import (
     random_term,
     random_tterm,
 )
-from sclkit.normalize import in_normal_form
-from sclkit.terms import postorder
+from sclkit.normalize import in_normal_form, is_star_class
+from sclkit.terms import MODES, postorder
 
 
 def test_classify_examples():
@@ -77,6 +78,122 @@ def test_classify_matches_generators():
         assert classify(random_lterm(rng)) is SnfClass.L_TERM
         star = random_star_term(rng, budget=rng.randint(1, 4))
         assert classify(star) in (SnfClass.L_TERM, SnfClass.C_TERM, SnfClass.D_TERM)
+
+
+# The term-level classifier as it was when it cached each category on the
+# term, with a dict made for the call in place of that cache.  Kept as an
+# oracle for ``classify``, which reads categories off a node table.
+
+
+def reference_classify(t):
+    cats = {}
+    stack = [t]
+    while stack:
+        need = _reference_category(stack[-1], cats)
+        if need.__class__ is SnfClass:
+            cats[stack.pop()] = need
+        else:
+            stack.append(need)
+    return cats[t]
+
+
+def _reference_category(t, cats):
+    """The category of ``t``, or the first subterm it reads whose category
+    is not in ``cats`` yet."""
+    cls = type(t)
+    if cls is Or or cls is And:
+        left, rc = t.left, cats.get(t.right)
+        if rc is None:
+            return t.right
+        if cls is Or:
+            if type(left) is And:
+                a, pc = left.left, cats.get(left.right)
+                if type(a) is Atom:
+                    if pc is None:
+                        return left.right
+                    if pc is SnfClass.T_TERM:
+                        if rc is SnfClass.T_TERM:
+                            return SnfClass.T_TERM
+                        if rc is SnfClass.F_TERM:
+                            return SnfClass.L_TERM
+                elif type(a) is Not and type(a.arg) is Atom:
+                    if pc is None:
+                        return left.right
+                    if pc is SnfClass.T_TERM and rc is SnfClass.F_TERM:
+                        return SnfClass.L_TERM
+            if (lc := cats.get(left)) is None:
+                return left
+            if is_star_class(lc) and rc in (SnfClass.L_TERM, SnfClass.C_TERM):
+                return SnfClass.D_TERM
+            return SnfClass.NOT_SNF
+        if type(left) is Or and type(left.left) is Atom:
+            if (pc := cats.get(left.right)) is None:
+                return left.right
+            if pc is SnfClass.F_TERM and rc is SnfClass.F_TERM:
+                return SnfClass.F_TERM
+        if (lc := cats.get(left)) is None:
+            return left
+        if is_star_class(lc) and rc in (SnfClass.L_TERM, SnfClass.D_TERM):
+            return SnfClass.C_TERM
+        if lc is SnfClass.T_TERM and is_star_class(rc):
+            return SnfClass.T_STAR_TERM
+        return SnfClass.NOT_SNF
+    if cls is Const:
+        return SnfClass.T_TERM if t.value else SnfClass.F_TERM
+    return SnfClass.NOT_SNF
+
+
+def assert_classify_matches_the_reference(draws):
+    for t in draws:
+        assert classify(t) is reference_classify(t), t
+
+
+def perturbed(rng, t, pieces):
+    """``t`` with one subterm, met on a random walk down from the top,
+    replaced by one of ``pieces``: a near miss of the grammar when ``t`` is
+    in it."""
+    cls = type(t)
+    if (cls is And or cls is Or) and rng.random() < 0.8:
+        if rng.random() < 0.5:
+            return cls(perturbed(rng, t.left, pieces), t.right)
+        return cls(t.left, perturbed(rng, t.right, pieces))
+    if cls is Not and rng.random() < 0.8:
+        return Not(perturbed(rng, t.arg, pieces))
+    return rng.choice(pieces)
+
+
+def test_classify_matches_the_term_level_reference_on_draws():
+    # every distinct subterm too, so that each category and each near miss
+    # of the grammar is met, not only the categories at the top
+    rng = random.Random(23)
+    draws = [random_term(rng, "ab", rng.randint(0, 6), mode, ("x", "y")) for mode in MODES for _ in range(200)]
+    draws += [random_snf_term(rng, budget=rng.randint(1, 6), max_depth=rng.randint(1, 3)) for _ in range(200)]
+    draws += [random_star_term(rng, budget=rng.randint(1, 6), max_depth=rng.randint(1, 3)) for _ in range(200)]
+    draws += [random_tterm(rng, max_depth=rng.randint(0, 4)) for _ in range(100)]
+    draws += [random_fterm(rng, max_depth=rng.randint(0, 4)) for _ in range(100)]
+    draws += [random_lterm(rng, max_depth=rng.randint(0, 4)) for _ in range(100)]
+    draws += [nf(random_scl_term(rng, max_depth=rng.randint(1, 6))) for _ in range(200)]
+    pieces = [TRUE, FALSE, parse("a"), parse("!a"), parse("!!a"), parse("!(a && b)"), parse("a || b"), parse("a && b")]
+    draws += [perturbed(rng, rng.choice(draws[-1_100:]), pieces) for _ in range(3_000)]
+    # no term is classified STAR_TERM: the l-, c- and d-terms are its cases
+    assert {reference_classify(t) for t in draws} == set(SnfClass) - {SnfClass.STAR_TERM}
+    assert_classify_matches_the_reference({s: None for t in draws for s in postorder(t)})
+
+
+def test_classify_matches_the_term_level_reference_on_deep_and_shared_terms():
+    atoms = [Atom(f"a{i}") for i in range(10_000)]
+    units = [Or(And(a, TRUE), FALSE) for a in atoms]
+    right = lambda op, xs: reduce(lambda r, x: op(x, r), reversed(xs[:-1]), xs[-1])
+    chains = [reduce(And, atoms), right(And, atoms), reduce(Or, atoms), right(Or, atoms)]
+    chains += [reduce(And, units), right(And, units), reduce(Or, units), right(Or, units)]
+    chains += [right(lambda a, t: Or(And(a, TRUE), t), atoms + [TRUE])]  # a T-term 10^4 deep
+    chains += [nf(reduce(And, atoms))]
+    shared = parse("c")
+    for i in range(30):
+        shared = Or(And(shared, parse("a")), Not(shared)) if i % 2 else And(Or(shared, parse("b")), shared)
+    cases = chains + [shared, nf(shared, cap=None), *shared_pieces(30)]
+    assert_classify_matches_the_reference(cases)
+    assert {reference_classify(t) for t in cases} == set(SnfClass) - {SnfClass.STAR_TERM, SnfClass.L_TERM}
 
 
 def test_nf_base_cases():
@@ -503,6 +620,17 @@ def test_nf_takes_long_negated_and_disjoined_chains():
             chain = reduce(And, [rng.choice(units) for _ in range(n)])
             for t in (Not(chain), Or(chain, rng.choice(units)), Or(chain, FALSE)):
                 assert outcome(nf, t, None) == outcome(reference_nf, t, None)
+
+
+def test_nf_takes_a_right_nested_chain_past_the_recursion_limit():
+    # the right operand's normal form is T && s for a left-nested c-term s,
+    # which and_star_tstar walks along its left spine in a loop; nf of the
+    # chain stays quadratic, as it normalizes every suffix
+    atoms = [Atom(f"a{i}") for i in range(1_000)]
+    chain = reduce(lambda r, a: And(a, r), reversed(atoms[:-1]), atoms[-1])
+    normal = nf(chain)
+    assert normal is invert(eval_tree(chain))
+    assert normal is nf(reduce(And, atoms))
 
 
 def test_nf_interns_only_its_normal_form(monkeypatch):

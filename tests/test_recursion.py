@@ -22,7 +22,6 @@ ALLOWED = {
     "normalize._Helpers.and_nf",
     "normalize._Helpers.and_star_tterm",
     "normalize._Helpers.and_star_fterm",
-    "normalize._Helpers.and_star_tstar",
     # the JSON decoders: json.loads cannot nest deeper than they can
     "terms._from_json",
     "trees._tree_from_json",
