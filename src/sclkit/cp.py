@@ -87,7 +87,7 @@ def basic_form(t: Term, cap: int | None = DEFAULT_NODE_CAP) -> Term:
 
 
 def _cond_children(t: Term) -> tuple[Term, ...]:
-    return (t.then, t.guard, t.orelse) if isinstance(t, Cond) else ()
+    return (t.then, t.guard, t.orelse) if type(t) is Cond else ()
 
 
 # (node count, T-leaves, F-leaves) of T <| a |> F; T and F have the shapes
@@ -105,40 +105,37 @@ def _check(t: Term, cap: int | None) -> None:
     """
     shapes = {}
     for s in postorder(t, _cond_children):
-        match s:
-            case Cond():
-                if cap is not None:
-                    guard = shapes[s.guard]
-                    shapes[s] = shape = _continued(guard, shapes[s.then], shapes[s.orelse])
-                    if guard[0] > 1 and shape[0] > cap:
-                        raise TreeTooLarge(f"basic form exceeds the node cap of {cap}")
-            case Const():
-                shapes[s] = _TRUE_SHAPE if s.value else _FALSE_SHAPE
-            case Atom():
-                shapes[s] = _ATOM_SHAPE
-            case Var():
-                raise NonClosedTerm(f"cannot take the basic form of open term: ${s.name}")
-            case Not() | And() | Or() | FullAnd() | FullOr():
-                raise ModeViolation(
-                    f"{type(s).__name__} is not a conditional node; translate first"
-                )
-            case _:  # pragma: no cover
-                raise TypeError(f"not a term: {s!r}")
+        cls = type(s)
+        if cls is Cond:
+            if cap is not None:
+                guard = shapes[s.guard]
+                shapes[s] = shape = _continued(guard, shapes[s.then], shapes[s.orelse])
+                if guard[0] > 1 and shape[0] > cap:
+                    raise TreeTooLarge(f"basic form exceeds the node cap of {cap}")
+        elif cls is Const:
+            shapes[s] = _TRUE_SHAPE if s.value else _FALSE_SHAPE
+        elif cls is Atom:
+            shapes[s] = _ATOM_SHAPE
+        elif cls is Var:
+            raise NonClosedTerm(f"cannot take the basic form of open term: ${s.name}")
+        elif cls is Not or cls is And or cls is Or or cls is FullAnd or cls is FullOr:
+            raise ModeViolation(f"{cls.__name__} is not a conditional node; translate first")
+        else:  # pragma: no cover
+            raise TypeError(f"not a term: {s!r}")
 
 
 def _cp_children(t: Term) -> tuple[Term, ...]:
     # in the order the translation takes them: && translates its right side first
-    match t:
-        case Not():
-            return (t.arg,)
-        case And():
-            return (t.right, t.left)
-        case Or():
-            return (t.left, t.right)
-        case Cond():
-            return (t.then, t.guard, t.orelse)
-        case _:
-            return ()
+    cls = type(t)
+    if cls is Not:
+        return (t.arg,)
+    if cls is And:
+        return (t.right, t.left)
+    if cls is Or:
+        return (t.left, t.right)
+    if cls is Cond:
+        return (t.then, t.guard, t.orelse)
+    return ()
 
 
 def scl_to_cp(t: Term) -> Term:
@@ -149,25 +146,23 @@ def scl_to_cp(t: Term) -> Term:
     """
     done = {}
     for s in postorder(t, _cp_children):
-        match s:
-            case Const() | Atom():
-                done[s] = s
-            case Var():
-                raise NonClosedTerm(f"cannot translate open term: ${s.name}")
-            case Not():
-                done[s] = Cond(FALSE, done[s.arg], TRUE)
-            case And():
-                done[s] = Cond(done[s.right], done[s.left], FALSE)
-            case Or():
-                done[s] = Cond(TRUE, done[s.left], done[s.right])
-            case Cond():
-                done[s] = Cond(done[s.then], done[s.guard], done[s.orelse])
-            case FullAnd() | FullOr():
-                raise ModeViolation(
-                    "full-sequential connectives must be expanded before translation"
-                )
-            case _:  # pragma: no cover
-                raise TypeError(f"not a term: {s!r}")
+        cls = type(s)
+        if cls is Const or cls is Atom:
+            done[s] = s
+        elif cls is Var:
+            raise NonClosedTerm(f"cannot translate open term: ${s.name}")
+        elif cls is Not:
+            done[s] = Cond(FALSE, done[s.arg], TRUE)
+        elif cls is And:
+            done[s] = Cond(done[s.right], done[s.left], FALSE)
+        elif cls is Or:
+            done[s] = Cond(TRUE, done[s.left], done[s.right])
+        elif cls is Cond:
+            done[s] = Cond(done[s.then], done[s.guard], done[s.orelse])
+        elif cls is FullAnd or cls is FullOr:
+            raise ModeViolation("full-sequential connectives must be expanded before translation")
+        else:  # pragma: no cover
+            raise TypeError(f"not a term: {s!r}")
     return done[t]
 
 

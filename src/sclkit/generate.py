@@ -2,7 +2,10 @@
 
 All functions draw from a caller-supplied ``random.Random`` so suites and
 the fuzz command are reproducible.  The normal-form generators follow the
-grammar directly; ``budget`` counts literal units in *-terms.
+grammar directly; ``budget`` counts literal units in *-terms.  The
+short-circuit terms of ``random_scl_term`` and ``random_substitution`` are
+drawn with the shape of their evaluation trees and their peak, worked out
+node by node, so no caller walks a draw again to size it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from random import Random
 from typing import Sequence
 
 from .terms import FALSE, TRUE, And, Atom, Cond, FullAnd, FullOr, Not, Or, Term, Var
-from .trees import _ATOM_SHAPE, _FALSE_SHAPE, _TRUE_SHAPE, Leaf, Node, Tree, _continued
+from .trees import _ATOM_SHAPE, _FALSE_SHAPE, _TRUE_SHAPE, Leaf, Node, Tree
 from .trees import eval_tree  # noqa: F401  (bench/worker.py traces generate.eval_tree)
 
 DEFAULT_ATOMS = ("a", "b", "c")
@@ -31,29 +34,44 @@ def random_scl_term(
     return _shaped_scl_term(rng, atoms, max_depth, max_size)[0]
 
 
+# What an inner node of ``random_scl_term`` is, drawn by index: the stream
+# is the one a choice among the names "not", "and", "and", "or", "or" makes.
+_CONNECTIVES = (Not, And, And, Or, Or)
+
+
 def _shaped_scl_term(
     rng: Random, atoms: Sequence[str], max_depth: int, max_size: int | None
-) -> tuple[Term, tuple[int, int, int]]:
+) -> tuple[Term, tuple[int, int, int], int]:
     """``random_scl_term``'s draw, with the shape of its evaluation tree
-    (as ``trees._shape`` gives it) composed as each node is drawn."""
+    (as ``trees._shape`` gives it) and its peak: the largest tree size of
+    any of its subterms.  Both are worked out as each node is drawn.  The
+    peak can exceed the term's own size, as in ``F && p``, whose tree is
+    one leaf whatever ``p`` is."""
+    random, choice = rng.random, rng.choice
     budget = [max_size if max_size is not None else 1 << 62]
 
-    def go(depth: int) -> tuple[Term, tuple[int, int, int]]:
+    def go(depth: int) -> tuple[Term, tuple[int, int, int], int]:
         budget[0] -= 1
-        if depth <= 0 or budget[0] <= 0 or rng.random() < 0.28:
-            roll = rng.random()
+        if depth <= 0 or budget[0] <= 0 or random() < 0.28:
+            roll = random()
             if roll < 0.7:
-                return Atom(rng.choice(atoms)), _ATOM_SHAPE
-            return (TRUE, _TRUE_SHAPE) if roll < 0.85 else (FALSE, _FALSE_SHAPE)
-        kind = rng.choice(("not", "and", "and", "or", "or"))
-        if kind == "not":
-            arg, (size, t, f) = go(depth - 1)
-            return Not(arg), (size, f, t)
-        left, l = go(depth - 1)
-        right, r = go(depth - 1)
-        if kind == "and":
-            return And(left, right), _continued(l, r, _FALSE_SHAPE)
-        return Or(left, right), _continued(l, _TRUE_SHAPE, r)
+                return Atom(choice(atoms)), _ATOM_SHAPE, 3
+            return (TRUE, _TRUE_SHAPE, 1) if roll < 0.85 else (FALSE, _FALSE_SHAPE, 1)
+        op = choice(_CONNECTIVES)
+        if op is Not:
+            arg, (size, t, f), peak = go(depth - 1)
+            return Not(arg), (size, f, t), peak
+        left, (size, t, f), peak = go(depth - 1)
+        right, (size_r, t_r, f_r), peak_r = go(depth - 1)
+        if op is And:  # the right tree continues at the left's T-leaves
+            size += t * (size_r - 1)
+            shape = size, t * t_r, t * f_r + f
+        else:  # and at its F-leaves
+            size += f * (size_r - 1)
+            shape = size, t + f * t_r, f * f_r
+        if peak_r > peak:
+            peak = peak_r
+        return op(left, right), shape, size if size > peak else peak
 
     return go(max_depth)
 
@@ -133,14 +151,28 @@ def random_substitution(
     law templates compose the trees of all their variables multiplicatively,
     so unbounded draws would occasionally dwarf any node cap.  Each draw
     comes with its tree's size, composed as it is drawn; no tree is built.
+    This is ``_shaped_substitution`` with the shapes and peaks dropped.
     """
+    drawn = _shaped_substitution(rng, variables, atoms, max_depth, max_tree)
+    return {v: term for v, (term, _, _) in drawn.items()}
+
+
+def _shaped_substitution(
+    rng: Random,
+    variables: Sequence[str],
+    atoms: Sequence[str] = DEFAULT_ATOMS,
+    max_depth: int = 6,
+    max_tree: int | None = 120,
+) -> dict[str, tuple[Term, tuple[int, int, int], int]]:
+    """``random_substitution``'s draw: each variable, in name order, mapped
+    to its term, the term's tree shape and its peak (``_shaped_scl_term``)."""
     out = {}
     for v in sorted(variables):  # each draw at random_scl_term's default max_size
-        term, shape = _shaped_scl_term(rng, atoms, max_depth, 40)
+        drawn = _shaped_scl_term(rng, atoms, max_depth, 40)
         if max_tree is not None:
-            while shape[0] > max_tree:
-                term, shape = _shaped_scl_term(rng, atoms, max_depth, 40)
-        out[v] = term
+            while drawn[1][0] > max_tree:
+                drawn = _shaped_scl_term(rng, atoms, max_depth, 40)
+        out[v] = drawn
     return out
 
 

@@ -14,8 +14,10 @@ seeded random closed substitutions instead.  A sample reads the equation's
 sides as templates against its substitution, so no substituted term is
 made; ``trees.same_tree`` shapes and builds both sides with shared memos
 into a per-sample table of int nodes, and compares the two ids.  Each draw
-of the substitution comes with its tree's size, which its rejection test
-reads.
+of the substitution comes with its tree's shape and peak (the largest tree
+size of any of its subterms): its rejection test reads the size, and a
+binding whose peak fits the cap seeds the shape memo, so it is not shaped
+again.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Mapping, Sequence
 
 from .axioms import Equation, eqfscl_minus
 from .errors import ModeViolation, ParseError, UninterpretedAtom, UnboundVariable
-from .generate import random_substitution
+from .generate import _shaped_substitution
+from .generate import random_substitution  # noqa: F401  (bench/worker.py traces models.random_substitution)
 from .terms import (
     FALSE,
     TRUE,
@@ -379,16 +382,22 @@ def valid_in_free_model(
     both sides (left first) against ``cap`` by arithmetic, and then builds
     their trees with one memo into a hash-consing table of the sample's
     own, in which a node is an int, so equal trees have one id.  No tree
-    is interned.
+    is interned.  The draw gives each binding's shape and peak; a binding
+    whose peak fits the cap seeds the shape memo and is not shaped again,
+    and any other is walked where it is met, so an error comes where a
+    walk of the substituted sides would raise it.
     """
     if samples < 0:
         raise ValueError(f"samples must be a non-negative count, got {samples}")
     rng = Random(seed)
     names = sorted(eq.variables)
     lhs, rhs = eq.lhs, eq.rhs
+    limit = None if cap is None else max(cap, 1)  # the size _shape lets pass
     for i in range(samples):
-        subst = random_substitution(rng, names, atoms, max_depth)
-        if not same_tree(lhs, rhs, cap, subst):
+        drawn = _shaped_substitution(rng, names, atoms, max_depth)
+        subst = {v: term for v, (term, _, _) in drawn.items()}
+        shapes = {term: shape for term, shape, peak in drawn.values() if limit is None or peak <= limit}
+        if not same_tree(lhs, rhs, cap, subst, shapes):
             return FreeModelCheck(False, subst, i + 1)
     return FreeModelCheck(True, None, samples)
 

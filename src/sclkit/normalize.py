@@ -40,6 +40,13 @@ from .trees import eval_tree  # noqa: F401  (bench/worker.py traces normalize.ev
 
 
 class SnfClass(Enum):
+    """The grammar categories ``classify`` reports.
+
+    ``STAR_TERM`` names the *-terms as a whole, but no term is classified
+    as it: a *-term is always reported by its case, an l-, c- or d-term.
+    The member stays as part of the public enumeration.
+    """
+
     T_TERM = "T-term"
     F_TERM = "F-term"
     L_TERM = "l-term"

@@ -179,10 +179,12 @@ def _shape(
     evaluation order (left before right, the guard before the branches),
     so the first error met is the one a recursive fold would raise.
     ``shapes`` is a memo the caller may share between calls with one
-    ``cap`` and ``subst``; a subterm found in it is not visited again.
-    A variable bound in ``subst`` is read as its binding, whose subterms
-    are checked where the variable is met, so ``term`` is shaped as if the
-    binding were substituted, without building the substituted term.
+    ``cap`` and ``subst``; a subterm found in it is not visited again, so
+    a caller that seeds it vouches that the seeded term's subterms all
+    pass ``cap``.  A variable bound in ``subst`` is read as its binding,
+    whose subterms are checked where the variable is met, so ``term`` is
+    shaped as if the binding were substituted, without building the
+    substituted term; a binding found in ``shapes`` is not walked.
     """
     shapes = {} if shapes is None else shapes  # also the visited set
     shapes[TRUE], shapes[FALSE] = _TRUE_SHAPE, _FALSE_SHAPE
@@ -287,13 +289,19 @@ def _build(term: Term, k_true, k_false, leaf: Callable, done: dict | None = None
     return done[term, k_true, k_false]
 
 
-def same_tree(p: Term, q: Term, cap: int | None = DEFAULT_NODE_CAP, subst: Mapping | None = None) -> bool:
+def same_tree(
+    p: Term, q: Term, cap: int | None = DEFAULT_NODE_CAP, subst: Mapping | None = None, shapes: dict | None = None
+) -> bool:
     """Whether ``p`` and ``q`` have one evaluation tree, a variable read as
     its binding in ``subst``: both are checked against ``cap`` as
     ``eval_tree`` checks them, ``p`` first and with one memo, and then
     built by ``_same_build``.  No node is interned.
+
+    ``shapes`` seeds that memo, and is filled in.  A term may be seeded
+    with its shape only if every one of its subterms has passed the cap:
+    ``_shape`` takes a seeded term as checked down to its leaves.
     """
-    shapes = {}
+    shapes = {} if shapes is None else shapes
     _shape(p, cap, shapes, subst)
     _shape(q, cap, shapes, subst)
     return _same_build(p, q, subst)

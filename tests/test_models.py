@@ -302,6 +302,23 @@ def test_random_scl_term_draws_the_reference_stream():
     assert rng.getstate() == ref.getstate()
 
 
+def test_shaped_draws_match_their_trees_and_the_reference_stream():
+    """Each draw's shape is the one ``_shape`` gives its term, and its peak
+    is the largest tree size of its distinct subterms, read from the built
+    trees; the draws leave the generator where the reference leaves it."""
+    rng, ref = Random(11), Random(11)
+    above_root = 0
+    for i in range(2_400):
+        depth, size = 1 + i % 8, (40, 5, 12, None)[i // 8 % 4]
+        term, shape, peak = generate._shaped_scl_term(rng, ("a", "b", "c"), depth, size)
+        assert term is reference_random_scl_term(ref, max_depth=depth, max_size=size), i
+        assert shape == trees._shape(term, None), i
+        assert peak == max(eval_tree(s, cap=None).size for s in postorder(term)), i
+        above_root += peak > shape[0]
+    assert rng.getstate() == ref.getstate()
+    assert above_root >= 200  # a subterm's tree larger than the whole term's is common
+
+
 def test_random_substitution_matches_the_tree_built_reference():
     for seed in range(200):
         rng, ref = Random(seed), Random(seed)
@@ -355,6 +372,75 @@ def test_every_criterion_2_template_matches_the_reference():
                 outcomes.add(got if isinstance(got, tuple) else got.valid)
     too_large = [(TreeTooLarge, f"tree exceeds the node cap of {cap}") for cap in (5, 30)]
     assert outcomes == {True, mode_error, *too_large}
+
+
+def test_bindings_with_a_subterm_over_the_cap_are_walked_as_the_reference_walks_them():
+    """A binding whose tree fits the cap but one of whose subterms' trees
+    does not, as ``F && a`` (one leaf, over an atom's three nodes), stays
+    out of the seeded shape memo: it is walked, and the error comes as the
+    reference's walk of the substituted sides raises it.  When every
+    root fits, only such a subterm can stop the first sample."""
+    base = eqfscl_axioms()
+    laws = base + [dual_equation(e) for e in base] + cp_axioms() + derived_laws()
+    cases = {cap: 0 for cap in (0, 1, 2, 3, 5, 30)}
+    only_subterms = 0
+    for seed in range(30):
+        for eq in laws:
+            first = generate._shaped_substitution(Random(seed), eq.variables).values()
+            for cap in cases:
+                limit = max(cap, 1)
+                if not any(shape[0] <= limit < peak for _, shape, peak in first):
+                    continue
+                cases[cap] += 1
+                for samples in (25, 1):
+                    got = _outcome(valid_in_free_model, eq, samples=samples, seed=seed, cap=cap)
+                    assert got == _outcome(reference_valid_in_free_model, eq, samples, seed, cap), (eq, seed, cap)
+                if all(shape[0] <= limit for _, shape, _ in first):
+                    only_subterms += 1
+                    assert got == (TreeTooLarge, f"tree exceeds the node cap of {cap}"), (eq, seed, cap)
+    assert min(cases.values()) >= 20, cases
+    assert only_subterms >= 100
+
+
+def test_free_model_samples_shape_no_binding_twice(monkeypatch):
+    """The draw gives the check each binding's shape: a binding whose
+    subterms all fit the cap is in the seeded memo, and ``_shape`` never
+    visits it; one with a subterm over the cap is left out."""
+
+    class Recording(dict):  # the memo, logging each term _shape visits
+        def __setitem__(self, key, value):
+            visited.append(key)
+            super().__setitem__(key, value)
+
+    def passes(b, cap):
+        try:
+            trees._shape(b, cap)
+        except TreeTooLarge:
+            return False
+        return True
+
+    def checked(p, q, cap, subst, shapes=None):
+        memo = Recording(shapes or {})
+        bindings = [b for b in subst.values() if type(b) is not Const]  # _shape enters T and F
+        for b in bindings:
+            assert (b in memo) == passes(b, cap), (b, cap)
+        seeded = [b for b in bindings if b in memo]
+        counts["seeded"] += len(seeded)
+        counts["left out"] += len(bindings) - len(seeded)
+        visited.clear()
+        try:
+            return same_tree(p, q, cap, subst, memo)
+        finally:
+            assert not set(seeded) & set(visited), (seeded, cap)
+
+    same_tree, visited, counts = models.same_tree, [], {"seeded": 0, "left out": 0}
+    monkeypatch.setattr(models, "same_tree", checked)
+    laws = [_AX["F7"], _AX["F10"], *derived_laws()]
+    for seed in range(4):
+        for eq in laws:
+            for cap in (None, 5, 30, 120):
+                _outcome(valid_in_free_model, eq, samples=20, seed=seed, cap=cap)
+    assert counts["seeded"] >= 1_000 and counts["left out"] >= 20, counts
 
 
 # ``eval_in_model`` and ``validates`` as they were, one recursive evaluation
