@@ -36,10 +36,9 @@ def _count(text: str) -> int:
 def _read_tree(text: str):
     from .trees import parse_tree, tree_from_json
 
-    text = text.strip()
-    if text.startswith("{"):
-        return tree_from_json(json.loads(text))
-    return parse_tree(text)
+    if text.lstrip().startswith("{"):
+        return tree_from_json(json.loads(text.strip()))  # json.loads skips only " \t\n\r"
+    return parse_tree(text)  # as given, so that error positions index the argument
 
 
 def _read_expr(text: str):

@@ -13,6 +13,11 @@ structure at once get one node.  Nodes cache size (logical, not of the
 object graph), depth, leaf counts and leaf flags.  ``same_tree`` decides
 whether two terms have one tree without making nodes: it builds both into
 a table of int nodes made for the call.
+
+The text form repeats small subtrees (``p && q`` puts a copy of the tree of
+``q`` under every T-leaf of the tree of ``p``), so ``parse_tree`` takes a
+canonically spaced subtree of height at most 4 as one regex token and reads
+the text of each such token once per call.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from .errors import DEFAULT_NODE_CAP, ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
 from .terms import FALSE, TRUE, And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
-from .terms import Interned, _is_name, postorder, unique_table
+from .terms import _IDENT_RE, _RESERVED, Interned, _is_name, postorder, unique_table
 
 
 class Tree:
@@ -357,24 +362,34 @@ def format_tree(x: Tree) -> str:
     return "".join(out)
 
 
-# After optional whitespace, one token: a leaf, a parenthesis, an "<atom>",
-# or any other character, so that a malformed text is read up to the token
-# that is wrong.
-_TREE_TOKEN = re.compile(r"\s*([TF^()]|<[^>]*>|\S)")
+# After optional whitespace, one token: a subtree of height 1 to 4 spaced as
+# ``format_tree`` spaces it, with atoms that follow the rule of term atoms;
+# else a leaf, a parenthesis, an "<atom>", or any other character, so that a
+# malformed text is read up to the token that is wrong.
+_NAME = _IDENT_RE.pattern.removesuffix(r"\Z")
+_ATOM = rf"<(?!(?:{'|'.join(sorted(_RESERVED))})>){_NAME}>"
+_BRANCH = "[TF^]"  # then of height at most 3
+for _ in range(3):
+    _BRANCH = rf"(?:\({_BRANCH} {_ATOM} {_BRANCH}\)|[TF^])"
+_TREE_TOKEN = re.compile(rf"\s*(\({_BRANCH} {_ATOM} {_BRANCH}\)|[TF^()]|<[^>]*>|\S)")
 _LEAVES = {"T": Leaf.TRUE, "F": Leaf.FALSE, "^": Leaf.HOLE}
 
 
 def parse_tree(text: str) -> Tree:
     """Parse the canonical text form back into a tree, without recursion.
 
-    The tokens are taken by one ``findall``, and each distinct subtree is
-    looked up in the unique table once per call.  Atom names follow the
-    rule of term atoms; each distinct name is checked once.  Raises
-    ``ParseError`` on any malformed input, at the token that is wrong.
+    The tokens are taken by one ``findall``.  A subtree of height at most
+    4, spaced as ``format_tree`` writes it, is one token, whose text is read
+    once per call (by ``_read_subtree``) however often it repeats.  The
+    rest of the text, and so every malformed text, is read a leaf,
+    parenthesis or ``<atom>`` at a time.  Each distinct subtree is looked
+    up in the unique table once per call.  Atom names follow the rule of
+    term atoms; each distinct name is checked once.  Raises ``ParseError``
+    on any malformed input, at the token that is wrong.
     """
     tokens = _TREE_TOKEN.findall(text)
     tokens.append("")  # the end of the input
-    leaves, names, built, i = _LEAVES, set(), {}, 0
+    read, names, built, i = dict(_LEAVES), set(), {}, 0  # read: token -> tree
     opened = []  # per open "(": None, then (atom, left) once the atom is read
     while True:  # read a subtree: "(" opens a node, a leaf ends it
         token = tokens[i]
@@ -382,11 +397,14 @@ def parse_tree(text: str) -> Tree:
         if token == "(":
             opened.append(None)
             continue
-        tree = leaves.get(token)
+        tree = read.get(token)
         if tree is None:
-            if not token:
+            if token[:1] == "(":
+                tree = read[token] = _read_subtree(token, built, names)
+            elif not token:
                 raise ParseError("unexpected end of input", len(text))
-            raise ParseError(f"expected 'T', 'F', '^', or '(', found {token[0]!r}", _start(text, i - 1))
+            else:
+                raise ParseError(f"expected 'T', 'F', '^', or '(', found {token[0]!r}", _start(text, i - 1))
         while opened:  # ``tree`` is a branch of the innermost open node
             token = tokens[i]
             if opened[-1] is None:
@@ -413,6 +431,29 @@ def parse_tree(text: str) -> Tree:
             if tokens[i]:
                 raise ParseError(f"unexpected trailing {tokens[i][0]!r}", _start(text, i))
             return tree
+
+
+def _read_subtree(token: str, built: dict, names: set[str]) -> Tree:
+    """Read a subtree token of ``parse_tree``, which is canonical and valid:
+    it is split into its leaves, atoms and ``)`` at its single spaces, and
+    each ``)`` makes the node of the atom and the two branches before it,
+    through the call's ``built``."""
+    stack = []
+    for part in token.replace("(", "").replace(")", " )").split(" "):
+        if part == ")":
+            left, atom, right = stack[-3:]
+            key = atom, left, right
+            tree = built.get(key)
+            if tree is None:
+                tree = built[key] = Node(*key)
+            stack[-3:] = (tree,)
+        elif part[0] == "<":
+            atom = part[1:-1]
+            names.add(atom)
+            stack.append(atom)
+        else:
+            stack.append(_LEAVES[part])
+    return stack[0]
 
 
 def _start(text: str, i: int) -> int:

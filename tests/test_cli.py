@@ -320,6 +320,18 @@ def test_malformed_tree_input_is_a_parse_error(capsys, argv):
     assert err.startswith("error: ParseError: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["invert"], ["decompose", "--kind", "cd"]])
+def test_tree_error_positions_index_the_argument(capsys, argv):
+    text = "   (T <a> F) x"
+    code, out, err = run(capsys, *argv, text)
+    assert (code, out) == (65, "")
+    assert err == "error: ParseError: unexpected trailing 'x' (at position 13)\n"
+    assert text.index("x") == 13
+    assert run(capsys, *argv, f" \t{text[:-2]}\n")[:2] == run(capsys, *argv, text[3:-2])[:2]
+    tree_json = '{"node": "a", "l": {"leaf": "T"}, "r": {"leaf": "F"}}'
+    assert run(capsys, *argv, f"\u00a0{tree_json}\n")[:2] == run(capsys, *argv, tree_json)[:2]
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

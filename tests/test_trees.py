@@ -355,6 +355,40 @@ _ODD_TEXTS = [
     "(T\u00a0<a>\u2003F\x1c",
     "(\x1c",
     "(T <a> é)",
+    # edges of the subtree token: names outside the rule inside a subtree
+    # of height 2 to 4, and names that only start like a reserved one
+    "((T <a> F) <T> F)",
+    "((T <F> F) <a> F)",
+    "(((T <a> F) <é> F) <b> T)",
+    "((((T <a> F) <b> F) <c> F) <> F)",
+    "((((T <T> F) <b> F) <c> F) <d> F)",
+    "(((T <a> F) <b> F) <c> (F <d> (T <e> (T <é> F))))",
+    "((T <Ta> F) <F_1> (T <TF> (F <T1> T)))",
+    # whitespace that is not the canonical single space
+    "((T <a>  F) <b> F)",
+    "((T <a>\tF) <b> F)",
+    "((T <a>\u00a0F) <b> F)",
+    "( (T <a> F) <b> F)",
+    "((T <a> F ) <b> F)",
+    "((T<a>F) <b> F)",
+    # height exactly 4 and 5, balanced and as chains
+    "((((T <a> F) <b> (F <c> T)) <d> ((T <e> F) <f> ^)) <g> T)",
+    "((((T <a> F) <b> (F <c> T)) <d> ((T <e> F) <f> ^)) <g> (T <h> F))",
+    "((((T <a> F) <b> F) <c> F) <d> F)",
+    "(((((T <a> F) <b> F) <c> F) <d> F) <e> F)",
+    "(T <e> (T <d> (T <c> (T <b> (T <a> F)))))",
+    # holes
+    "((^ <a> F) <b> (T <c> ^))",
+    "(((^ <a> ^) <b> ^) <c> (^ <d> ^))",
+    # what follows a subtree token
+    "((T <a> F) <b> F)x",
+    "((T <a> F) <b> F) )",
+    "((T <a> F) <b> F)(T <a> F)",
+    "((T <a> F) (T <b> F))",
+    "((T <a> F) <b> F (T <c> F))",
+    "(<a> (T <b> F))",
+    "((((T <a> F) <b> F) <c> F) <d> F) <e>",
+    "((((((T <a> F) <b> F) <c> F) <d> F) <e> F)",
 ]
 _MUTATIONS = "TF^()<> \t\n\u00a0\u2003\x1caé_1"
 
@@ -409,6 +443,24 @@ def test_parse_tree_builds_each_distinct_subtree_once(monkeypatch):
     x = parse_tree(text)
     assert len(calls) == _node_objects(x) == 20
     assert text.count("(") == 2_046  # logical nodes, against 20 distinct ones
+
+
+def test_parse_tree_reads_a_repeated_small_subtree_once(monkeypatch):
+    small = parse_tree("((((T <a> F) <b> (F <c> T)) <d> ((T <e> F) <f> ^)) <g> (T <h> F))")
+    x = small
+    for i in range(499):
+        x = Node(f"k{i % 2}", small, x)
+    text = format_tree(x)
+    calls, make = [], Node.__new__
+
+    def counting_new(cls, *args):
+        calls.append(args)
+        return make(cls, *args)
+
+    monkeypatch.setattr(Node, "__new__", staticmethod(counting_new))
+    assert parse_tree(text) is x
+    assert text.count(format_tree(small)) == 500 and small.depth == 4
+    assert len(calls) == _node_objects(x) == 8 + 499
 
 
 # ---- printers and readers without recursion
