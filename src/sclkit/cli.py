@@ -37,7 +37,11 @@ def _read_tree(text: str):
     from .trees import parse_tree, tree_from_json
 
     if text.lstrip().startswith("{"):
-        return tree_from_json(json.loads(text.strip()))  # json.loads skips only " \t\n\r"
+        try:
+            data = json.loads(text.strip())  # json.loads skips only " \t\n\r"
+        except json.JSONDecodeError as exc:  # at its position in the argument
+            raise json.JSONDecodeError(exc.msg, text, exc.pos + len(text) - len(text.lstrip())) from None
+        return tree_from_json(data)
     return parse_tree(text)  # as given, so that error positions index the argument
 
 

@@ -10,9 +10,11 @@ results as those continuations.  Each distinct (term, continuation,
 continuation) triple is built once, so the object graph stays linear in
 the input.  ``scl_to_cp`` eliminates the short-circuit connectives in
 favour of the conditional.  ``decide_eq_cp`` builds no basic form as a
-term: it builds both sides' forms into one table of int nodes made for
-the call and compares their ids.  Every function here uses an explicit
-stack and visits each distinct object once.
+term: it reads each side as it would translate, to find the shape of its
+form, and only when the two shapes agree does it translate both, build
+their forms into one table of int nodes made for the call and compare
+their ids.  Every function here uses an explicit stack and visits each
+distinct object once.
 """
 
 from __future__ import annotations
@@ -95,33 +97,52 @@ def _cond_children(t: Term) -> tuple[Term, ...]:
 _ATOM_SHAPE = (4, 1, 1)
 
 
-def _check(t: Term, cap: int | None) -> None:
-    """Raise what ``basic_form`` raises, in the order of a bottom-up fold.
+def _check(t: Term, cap: int | None, translate: bool = False) -> tuple[int, int, int] | None:
+    """Raise what ``basic_form`` raises, in the order of a bottom-up fold,
+    and return the shape of the form (node count, T-leaves, F-leaves), or
+    None under no cap.
 
     Each conditional's then-branch, guard and else-branch come before it,
     in that order.  A conditional whose guard's form is not a constant
-    fails if its own form has more than ``cap`` nodes.  Only the shapes of
-    the forms (node count, T-leaves, F-leaves) are computed.
+    fails if its own form has more than ``cap`` nodes.  With ``translate``,
+    ``t`` is read as ``scl_to_cp`` translates it, in its order and with its
+    errors; a form over the cap is reported once the walk is done, so that
+    a translation error comes first.
     """
-    shapes = {}
-    for s in postorder(t, _cond_children):
+    shapes, too_large = {TRUE: _TRUE_SHAPE, FALSE: _FALSE_SHAPE}, False
+    for s in postorder(t, _cp_children if translate else _cond_children):
         cls = type(s)
         if cls is Cond:
-            if cap is not None:
-                guard = shapes[s.guard]
-                shapes[s] = shape = _continued(guard, shapes[s.then], shapes[s.orelse])
-                if guard[0] > 1 and shape[0] > cap:
-                    raise TreeTooLarge(f"basic form exceeds the node cap of {cap}")
-        elif cls is Const:
-            shapes[s] = _TRUE_SHAPE if s.value else _FALSE_SHAPE
+            a, g, b = s.then, s.guard, s.orelse
+        elif translate and cls is Not:
+            a, g, b = FALSE, s.arg, TRUE
+        elif translate and cls is And:
+            a, g, b = s.right, s.left, FALSE
+        elif translate and cls is Or:
+            a, g, b = TRUE, s.left, s.right
+        elif cls is Const:  # T and F, in ``shapes`` from the start
+            continue
         elif cls is Atom:
             shapes[s] = _ATOM_SHAPE
+            continue
+        elif translate:  # a variable or a full connective
+            scl_to_cp(s)  # raises the translation's error
         elif cls is Var:
             raise NonClosedTerm(f"cannot take the basic form of open term: ${s.name}")
         elif cls is Not or cls is And or cls is Or or cls is FullAnd or cls is FullOr:
             raise ModeViolation(f"{cls.__name__} is not a conditional node; translate first")
         else:  # pragma: no cover
             raise TypeError(f"not a term: {s!r}")
+        if cap is not None:
+            guard = shapes[g]
+            shapes[s] = shape = _continued(guard, shapes[a], shapes[b])
+            if guard[0] > 1 and shape[0] > cap:
+                too_large = True
+                if not translate:
+                    break
+    if too_large:
+        raise TreeTooLarge(f"basic form exceeds the node cap of {cap}")
+    return None if cap is None else shapes[t]
 
 
 def _cp_children(t: Term) -> tuple[Term, ...]:
@@ -169,14 +190,14 @@ def scl_to_cp(t: Term) -> Term:
 def decide_eq_cp(p: Term, q: Term, cap: int | None = DEFAULT_NODE_CAP) -> bool:
     """Decide tree equality of two closed enriched terms via basic forms.
 
-    Each side is translated and then checked against ``cap`` as
-    ``basic_form`` checks it, ``p`` first.  The two forms are built into
-    one hash-consing table made for the call, in which equal basic forms
-    are one int node (``trees._same_build``), and the two ids are compared;
-    no form is built as a term.
+    Each side is checked as it translates, against ``cap`` as
+    ``basic_form`` checks its translation, ``p`` first.  Basic forms of
+    different shapes differ, so the pair is then unequal.  Otherwise both
+    are translated, their forms are built into one hash-consing table made
+    for the call, in which equal basic forms are one int node
+    (``trees._same_build``), and the two ids are compared; no form is built
+    as a term.  Under no cap no shape is computed, and every pair is built.
     """
-    p = scl_to_cp(p)
-    _check(p, cap)
-    q = scl_to_cp(q)
-    _check(q, cap)
-    return _same_build(p, q)
+    if _check(p, cap, True) != _check(q, cap, True):
+        return False
+    return _same_build(scl_to_cp(p), scl_to_cp(q))

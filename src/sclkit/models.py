@@ -12,8 +12,9 @@ the cited closed refutation.
 ``valid_in_free_model`` checks an equation against tree semantics under
 seeded random closed substitutions instead.  A sample reads the equation's
 sides as templates against its substitution, so no substituted term is
-made; ``trees.same_tree`` shapes and builds both sides with shared memos
-into a per-sample table of int nodes, and compares the two ids.  Each draw
+made; ``trees.same_tree`` shapes both sides, refutes on sides of
+different shapes, and otherwise builds both with shared memos into a
+per-sample table of int nodes and compares the two ids.  Each draw
 of the substitution comes with its tree's shape and peak (the largest tree
 size of any of its subterms): its rejection test reads the size, and a
 binding whose peak fits the cap seeds the shape memo, so it is not shaped
@@ -379,9 +380,11 @@ def valid_in_free_model(
 
     Each sample reads the two sides of ``eq`` as templates, each variable
     as its binding: no substituted term is made.  ``same_tree`` checks
-    both sides (left first) against ``cap`` by arithmetic, and then builds
-    their trees with one memo into a hash-consing table of the sample's
-    own, in which a node is an int, so equal trees have one id.  No tree
+    both sides (left first) against ``cap`` by arithmetic, which gives the
+    shapes of their trees: sides of different shapes refute ``eq``.
+    Otherwise it builds their trees with one memo into a hash-consing table
+    of the sample's own, in which a node is an int, so equal trees have
+    one id.  No tree
     is interned.  The draw gives each binding's shape and peak; a binding
     whose peak fits the cap seeds the shape memo and is not shaped again,
     and any other is walked where it is met, so an error comes where a

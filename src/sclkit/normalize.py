@@ -450,13 +450,16 @@ def or_nf(p: Term, q: Term) -> Term:
 def decide_eq(p: Term, q: Term, engine: str = "tree", cap: int | None = DEFAULT_NODE_CAP) -> bool:
     """Decide whether two closed terms have the same evaluation tree.
 
-    Engine ``"tree"`` compares the evaluation trees (``trees.same_tree``);
-    engine ``"nf"`` compares normal forms, folding ``p`` and then ``q`` into
-    one ``_Helpers`` table.  Either engine builds both sides into one table
-    made for the call, in which equal trees, or equal normal forms, are one
-    int node, and compares the two ids: nothing is interned.  Each raises
-    what ``eval_tree`` or ``nf`` raises on ``p`` and then on ``q``.  The
-    two agree on every closed short-circuit pair.
+    Engine ``"tree"`` compares the evaluation trees (``trees.same_tree``):
+    two trees of different shapes (size, T-leaves, F-leaves), which its cap
+    check computes, differ, and only sides of one shape are built.  Engine
+    ``"nf"`` compares normal forms, folding ``p`` and then ``q`` into one
+    ``_Helpers`` table; it computes no shape, and must fold both sides to
+    raise its cap errors.  Either engine builds into one table made for the
+    call, in which equal trees, or equal normal forms, are one int node,
+    and compares the two ids: nothing is interned.  Each raises what
+    ``eval_tree`` or ``nf`` raises on ``p`` and then on ``q``.  The two
+    agree on every closed short-circuit pair.
     """
     if engine == "tree":
         return same_tree(p, q, cap)

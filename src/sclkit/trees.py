@@ -11,8 +11,9 @@ is identity, and every builder shares subtrees.  The unique table
 trees) and is filled by ``dict.setdefault``, so threads that build one
 structure at once get one node.  Nodes cache size (logical, not of the
 object graph), depth, leaf counts and leaf flags.  ``same_tree`` decides
-whether two terms have one tree without making nodes: it builds both into
-a table of int nodes made for the call.
+whether two terms have one tree without making nodes: it compares the
+shapes of their trees, and builds both into a table of int nodes made for
+the call only when the shapes agree.
 
 The text form repeats small subtrees (``p && q`` puts a copy of the tree of
 ``q`` under every T-leaf of the tree of ``p``), so ``parse_tree`` takes a
@@ -299,16 +300,17 @@ def same_tree(
 ) -> bool:
     """Whether ``p`` and ``q`` have one evaluation tree, a variable read as
     its binding in ``subst``: both are checked against ``cap`` as
-    ``eval_tree`` checks them, ``p`` first and with one memo, and then
-    built by ``_same_build``.  No node is interned.
+    ``eval_tree`` checks them, ``p`` first and with one memo.  Trees of
+    different shapes ``(size, T-leaves, F-leaves)`` differ, so only sides
+    of one shape are then built by ``_same_build``.  No node is interned.
 
     ``shapes`` seeds that memo, and is filled in.  A term may be seeded
     with its shape only if every one of its subterms has passed the cap:
     ``_shape`` takes a seeded term as checked down to its leaves.
     """
     shapes = {} if shapes is None else shapes
-    _shape(p, cap, shapes, subst)
-    _shape(q, cap, shapes, subst)
+    if _shape(p, cap, shapes, subst) != _shape(q, cap, shapes, subst):
+        return False
     return _same_build(p, q, subst)
 
 

@@ -332,6 +332,20 @@ def test_tree_error_positions_index_the_argument(capsys, argv):
     assert run(capsys, *argv, f"\u00a0{tree_json}\n")[:2] == run(capsys, *argv, tree_json)[:2]
 
 
+@pytest.mark.parametrize("argv", [["invert"], ["decompose", "--kind", "cd"]])
+@pytest.mark.parametrize("prefix", ["", "   ", "\t", "\v", "\t\v "])
+def test_json_error_positions_index_the_argument(capsys, argv, prefix):
+    """Leading whitespace is stripped before ``json.loads``, which rejects
+    ``\\v``, but the reported position is the one in the argument."""
+    text = prefix + '{"node": "a",'
+    code, out, err = run(capsys, *argv, text)
+    assert (code, out) == (65, "")
+    expected = "Expecting property name enclosed in double quotes"
+    assert err == f"error: invalid JSON input: {expected}: line 1 column {len(text) + 1} (char {len(text)})\n"
+    code, out, err = run(capsys, *argv, f" {text}\n\n")  # trailing whitespace moves nothing
+    assert err.endswith(f"(char {len(text) + 1})\n")
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

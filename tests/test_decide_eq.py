@@ -1,10 +1,14 @@
 """The equality deciders against the comparisons they replace.
 
-Each decider builds both sides into one table made for the call and
-compares node ids.  The comparisons of interned objects that they replace
-are kept here as oracles: equal trees, equal normal forms and equal basic
-forms are one object.  A decider must give the oracle's verdict, or raise
-the oracle's error with its message, at every cap.
+The ``tree`` and ``cp`` deciders compute the shape of each side (size,
+T-leaves and F-leaves of its tree or basic form) as they check the cap,
+and call a pair of different shapes unequal; the ``nf`` decider, and the
+other two on pairs of one shape, build both sides into one table made
+for the call and compare node ids.  The comparisons of interned objects
+that they replace are kept here as oracles: equal trees, equal normal
+forms and equal basic forms are one object.  A decider must give the
+oracle's verdict, or raise the oracle's error with its message, at every
+cap.
 """
 
 import random
@@ -14,6 +18,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from sclkit import (
+    DEFAULT_NODE_CAP,
     FALSE,
     TRUE,
     And,
@@ -21,9 +26,11 @@ from sclkit import (
     Cond,
     FullAnd,
     FullOr,
+    NonClosedTerm,
     Not,
     Or,
     SclError,
+    TreeTooLarge,
     Var,
     basic_form,
     decide_eq,
@@ -191,3 +198,92 @@ def test_deciders_intern_no_tree_normal_form_or_basic_form(monkeypatch):
         assert decide_eq(p, q, "tree") is expected, (p, q)
         assert decide_eq(p, q, "nf") is expected, (p, q)
         assert decide_eq_cp(p, q) is expected, (p, q)
+
+
+def _shape_pairs(seed, count=150):
+    """Seeded pairs of closed terms with their tree shapes, all within the
+    default cap."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        p, q = random_scl_term(rng, max_depth=6), random_scl_term(rng, max_depth=6)
+        try:
+            pairs.append((p, q, trees._shape(p, DEFAULT_NODE_CAP), trees._shape(q, DEFAULT_NODE_CAP)))
+        except TreeTooLarge:
+            pass
+    return pairs
+
+
+def test_pairs_of_different_shapes_are_unequal_without_a_build(monkeypatch):
+    pairs = [(p, q) for p, q, sp, sq in _shape_pairs(4) if sp != sq]
+    assert len(pairs) > 100
+    expected = [decide_eq(p, q, "nf") for p, q in pairs]
+    assert not any(expected)
+
+    def forbidden(*args):
+        raise AssertionError("built a pair of different shapes")
+
+    monkeypatch.setattr(trees, "_same_build", forbidden)
+    monkeypatch.setattr(cp, "_same_build", forbidden)
+    monkeypatch.setattr(cp, "scl_to_cp", forbidden)
+    for p, q in pairs:
+        assert decide_eq(p, q, "tree") is False, (p, q)
+        assert decide_eq_cp(p, q) is False, (p, q)
+
+
+def test_pairs_of_one_shape_are_built(monkeypatch):
+    """``a && b`` and ``b && a`` have one shape and two trees: the shape
+    cannot decide them, and the build says INEQUAL."""
+    a, b = Atom("a"), Atom("b")
+    cases = [(And(a, b), And(b, a), False), (Or(a, b), Or(b, a), False)]
+    for p, q, sp, sq in _shape_pairs(5, 60):
+        cases.append((p, Not(Not(p)), True))
+        if sp == sq:
+            cases.append((p, q, decide_eq(p, q, "nf")))
+    assert sum(not equal for _, _, equal in cases) >= 4
+    builds = []
+
+    def recording(build):
+        def wrapped(*args):
+            builds.append(args[:2])
+            return build(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(trees, "_same_build", recording(trees._same_build))
+    monkeypatch.setattr(cp, "_same_build", recording(cp._same_build))
+    for p, q, equal in cases:
+        del builds[:]
+        assert decide_eq(p, q, "tree") is equal, (p, q)
+        assert decide_eq_cp(p, q) is equal, (p, q)
+        assert builds == [(p, q), (scl_to_cp(p), scl_to_cp(q))]
+
+
+def test_decide_eq_cp_computes_no_shape_under_no_cap(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("shape arithmetic under no cap")
+
+    cases = [(p, q, decide_eq(p, q, "tree", None)) for p, q, _, _ in _shape_pairs(6, 60)]
+    cases += [(p, Not(Not(p)), True) for p, _, _, _ in _shape_pairs(7, 20)]
+    monkeypatch.setattr(cp, "_continued", forbidden)
+    for p, q, equal in cases:
+        assert decide_eq_cp(p, q, None) is equal, (p, q)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, error",
+    [
+        # cp translates && right side first, so its walk meets the cap
+        # violation before $x: the translation error still comes first
+        ("$x && ((a || b) && (a || b))", "a", NonClosedTerm),
+        # the shapes differ, but q is over the cap
+        ("a", "(a || b) && (a || b) && (a || b)", TreeTooLarge),
+    ],
+)
+def test_errors_come_before_the_shapes_are_compared(lhs, rhs, error):
+    p, q = parse(lhs, "open"), parse(rhs, "open")
+    with pytest.raises(error):
+        decide_eq(p, q, "tree", 5)
+    with pytest.raises(error):
+        decide_eq_cp(p, q, 5)
+    assert_as_oracles(p, q)
