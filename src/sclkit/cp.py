@@ -104,27 +104,28 @@ def _check(t: Term, cap: int | None, translate: bool = False) -> tuple[int, int,
 
     Each conditional's then-branch, guard and else-branch come before it,
     in that order.  A conditional whose guard's form is not a constant
-    fails if its own form has more than ``cap`` nodes.  With ``translate``,
-    ``t`` is read as ``scl_to_cp`` translates it, in its order and with its
-    errors; a form over the cap is reported once the walk is done, so that
-    a translation error comes first.
+    fails if its own form has more than ``cap`` nodes.  Only the shapes of
+    the forms are computed.  With ``translate``, ``t`` is read as
+    ``scl_to_cp`` translates it (``_as_cond``), with its errors; the first
+    form over the cap ends the walk, and ``t`` is translated before the
+    cap error is raised, so that a translation error of ``t`` comes first.
     """
-    shapes, too_large = {TRUE: _TRUE_SHAPE, FALSE: _FALSE_SHAPE}, False
+    shapes = {TRUE: _TRUE_SHAPE, FALSE: _FALSE_SHAPE}
     for s in postorder(t, _cp_children if translate else _cond_children):
         cls = type(s)
-        if cls is Cond:
-            a, g, b = s.then, s.guard, s.orelse
-        elif translate and cls is Not:
-            a, g, b = FALSE, s.arg, TRUE
-        elif translate and cls is And:
-            a, g, b = s.right, s.left, FALSE
-        elif translate and cls is Or:
-            a, g, b = TRUE, s.left, s.right
-        elif cls is Const:  # T and F, in ``shapes`` from the start
-            continue
+        if cls is Cond or (translate and (cls is Not or cls is And or cls is Or)):
+            if cap is not None:
+                a, g, b = _as_cond(s)
+                guard = shapes[g]
+                shapes[s] = shape = _continued(guard, shapes[a], shapes[b])
+                if guard[0] > 1 and shape[0] > cap:
+                    if translate:
+                        scl_to_cp(t)
+                    raise TreeTooLarge(f"basic form exceeds the node cap of {cap}")
+        elif cls is Const:
+            shapes[s] = _TRUE_SHAPE if s.value else _FALSE_SHAPE
         elif cls is Atom:
             shapes[s] = _ATOM_SHAPE
-            continue
         elif translate:  # a variable or a full connective
             scl_to_cp(s)  # raises the translation's error
         elif cls is Var:
@@ -133,20 +134,31 @@ def _check(t: Term, cap: int | None, translate: bool = False) -> tuple[int, int,
             raise ModeViolation(f"{cls.__name__} is not a conditional node; translate first")
         else:  # pragma: no cover
             raise TypeError(f"not a term: {s!r}")
-        if cap is not None:
-            guard = shapes[g]
-            shapes[s] = shape = _continued(guard, shapes[a], shapes[b])
-            if guard[0] > 1 and shape[0] > cap:
-                too_large = True
-                if not translate:
-                    break
-    if too_large:
-        raise TreeTooLarge(f"basic form exceeds the node cap of {cap}")
     return None if cap is None else shapes[t]
 
 
+def _as_cond(t: Term) -> tuple[Term, Term, Term] | None:
+    """The then-branch, guard and else-branch of the conditional that
+    ``scl_to_cp`` makes of ``t``, or None if it makes none.
+
+    Negation becomes ``F <| p |> T``, conjunction ``q <| p |> F``, and
+    disjunction ``T <| p |> q``.
+    """
+    cls = type(t)
+    if cls is Cond:
+        return t.then, t.guard, t.orelse
+    if cls is Not:
+        return FALSE, t.arg, TRUE
+    if cls is And:
+        return t.right, t.left, FALSE
+    if cls is Or:
+        return TRUE, t.left, t.right
+    return None
+
+
 def _cp_children(t: Term) -> tuple[Term, ...]:
-    # in the order the translation takes them: && translates its right side first
+    # the parts of ``_as_cond`` other than its constants, in its order: &&
+    # translates its right side first
     cls = type(t)
     if cls is Not:
         return (t.arg,)
@@ -160,28 +172,20 @@ def _cp_children(t: Term) -> tuple[Term, ...]:
 
 
 def scl_to_cp(t: Term) -> Term:
-    """Eliminate !, &&, and || in favour of the conditional, bottom-up.
-
-    Negation becomes ``F <| p |> T``, conjunction ``q <| p |> F``, and
-    disjunction ``T <| p |> q``; the evaluation tree is unchanged.
-    """
-    done = {}
+    """Eliminate !, &&, and || in favour of the conditional, bottom-up
+    (``_as_cond``); the evaluation tree is unchanged."""
+    done = {TRUE: TRUE, FALSE: FALSE}
     for s in postorder(t, _cp_children):
         cls = type(s)
         if cls is Const or cls is Atom:
             done[s] = s
         elif cls is Var:
             raise NonClosedTerm(f"cannot translate open term: ${s.name}")
-        elif cls is Not:
-            done[s] = Cond(FALSE, done[s.arg], TRUE)
-        elif cls is And:
-            done[s] = Cond(done[s.right], done[s.left], FALSE)
-        elif cls is Or:
-            done[s] = Cond(TRUE, done[s.left], done[s.right])
-        elif cls is Cond:
-            done[s] = Cond(done[s.then], done[s.guard], done[s.orelse])
         elif cls is FullAnd or cls is FullOr:
             raise ModeViolation("full-sequential connectives must be expanded before translation")
+        elif (parts := _as_cond(s)) is not None:
+            a, g, b = parts
+            done[s] = Cond(done[a], done[g], done[b])
         else:  # pragma: no cover
             raise TypeError(f"not a term: {s!r}")
     return done[t]
@@ -191,12 +195,13 @@ def decide_eq_cp(p: Term, q: Term, cap: int | None = DEFAULT_NODE_CAP) -> bool:
     """Decide tree equality of two closed enriched terms via basic forms.
 
     Each side is checked as it translates, against ``cap`` as
-    ``basic_form`` checks its translation, ``p`` first.  Basic forms of
-    different shapes differ, so the pair is then unequal.  Otherwise both
-    are translated, their forms are built into one hash-consing table made
-    for the call, in which equal basic forms are one int node
-    (``trees._same_build``), and the two ids are compared; no form is built
-    as a term.  Under no cap no shape is computed, and every pair is built.
+    ``basic_form`` checks its translation, ``p`` first; the check gives the
+    shape of its form.  Basic forms of different shapes differ, so the pair
+    is then unequal.  Otherwise both are translated, their forms are built
+    into one hash-consing table made for the call, in which equal basic
+    forms are one int node (``trees._same_build``), and the two ids are
+    compared; no form is built as a term.  Under no cap no shape is
+    computed, and every pair is built.
     """
     if _check(p, cap, True) != _check(q, cap, True):
         return False

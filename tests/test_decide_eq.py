@@ -272,8 +272,8 @@ def test_decide_eq_cp_computes_no_shape_under_no_cap(monkeypatch):
 @pytest.mark.parametrize(
     "lhs, rhs, error",
     [
-        # cp translates && right side first, so its walk meets the cap
-        # violation before $x: the translation error still comes first
+        # a bottom-up walk meets the cap violation before $x (cp translates
+        # && right side first): the translation error still comes first
         ("$x && ((a || b) && (a || b))", "a", NonClosedTerm),
         # the shapes differ, but q is over the cap
         ("a", "(a || b) && (a || b) && (a || b)", TreeTooLarge),
@@ -286,3 +286,30 @@ def test_errors_come_before_the_shapes_are_compared(lhs, rhs, error):
     with pytest.raises(error):
         decide_eq_cp(p, q, 5)
     assert_as_oracles(p, q)
+
+
+def test_a_cap_violation_ends_the_check_on_doubly_exponential_shared_terms(monkeypatch):
+    """``x && x`` nested 40 times over ``a || b`` is 41 distinct objects,
+    and the leaf counts of its tree square at each level, to about
+    ``2 ** (2 ** 40)``: the deciders stop at the first node over the
+    default cap, the sixth, and compute no shape past it."""
+    x = Or(Atom("a"), Atom("b"))
+    for _ in range(40):
+        x = And(x, x)
+    calls = []
+
+    def counted(continued):
+        def wrapped(*args):
+            calls.append(args)
+            assert len(calls) <= 6, "shape arithmetic past the cap violation"
+            return continued(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(cp, "_continued", counted(cp._continued))
+    monkeypatch.setattr(trees, "_continued", counted(trees._continued))
+    for decide in (lambda p, q: decide_eq(p, q, "tree"), decide_eq_cp):
+        del calls[:]
+        with pytest.raises(TreeTooLarge):
+            decide(x, Atom("a"))
+        assert len(calls) == 6
