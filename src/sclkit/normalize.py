@@ -10,8 +10,10 @@ combination is a conjunction or a disjunction.
 its evaluation tree unchanged.  It runs the clauses on a node table made for
 the call and interns only the normal form it returns: each tree has one
 normal form, so how the intermediate terms are built does not show.
-``decide_eq`` folds both sides into one such table and compares their
-nodes, so it interns nothing.  ``classify`` loads a term into such a
+``decide_eq`` calls two sides whose trees differ in shape unequal, by
+a bound on the size of a normal form (see its docstring), and otherwise
+folds both sides into one such table and compares their nodes, so it
+interns nothing.  ``classify`` loads a term into such a
 table, which gives each distinct subterm its category once, from the
 categories of its operands; nothing is kept on the term.  The negation and
 conjunction helpers are exposed so each defining clause is unit-testable;
@@ -28,6 +30,7 @@ from .terms import (
     TRUE,
     And,
     Atom,
+    Cond,
     Const,
     Not,
     Or,
@@ -35,7 +38,7 @@ from .terms import (
     Var,
     postorder,
 )
-from .trees import DEFAULT_NODE_CAP, same_tree
+from .trees import DEFAULT_NODE_CAP, _shape, same_tree
 from .trees import eval_tree  # noqa: F401  (bench/worker.py traces normalize.eval_tree)
 
 
@@ -454,16 +457,46 @@ def decide_eq(p: Term, q: Term, engine: str = "tree", cap: int | None = DEFAULT_
     two trees of different shapes (size, T-leaves, F-leaves), which its cap
     check computes, differ, and only sides of one shape are built.  Engine
     ``"nf"`` compares normal forms, folding ``p`` and then ``q`` into one
-    ``_Helpers`` table; it computes no shape, and must fold both sides to
-    raise its cap errors.  Either engine builds into one table made for the
+    ``_Helpers`` table.  Either engine builds into one table made for the
     call, in which equal trees, or equal normal forms, are one int node,
     and compares the two ids: nothing is interned.  Each raises what
     ``eval_tree`` or ``nf`` raises on ``p`` and then on ``q``.  The two
     agree on every closed short-circuit pair.
+
+    Under a cap of at least 1, ``nf`` first shapes ``p`` and then ``q``
+    with ``trees._shape``, one memo and the tree cap ``(2 * cap + 5) // 7``.
+    If both walks pass, neither side holds a conditional and the shapes
+    differ, the pair is unequal, for a normal form keeps its tree, and no
+    fold would raise: every subterm's tree is within the tree cap, so its
+    normal form is within ``cap`` by the bound below.  Otherwise both sides
+    are folded, which raises ``nf``'s own error, if any.  (At cap 0 the
+    walk would pass ``!T``, whose tree is a leaf, but ``nf`` refuses its
+    one-node normal form.)
+
+    The bound: ``2 * |nf(s)| <= 7 * |tree(s)| - 5`` for every closed
+    ``!``/``&&``/``||`` term ``s``, where ``|.|`` counts logical nodes.  By
+    induction on the normal-form grammar, with ``n`` internal nodes in the
+    tree (so ``|tree| = 2n + 1``): a T- or F-term has ``4n + 1`` nodes (its
+    head ``(a && P) || Q`` or ``(a || P) && Q`` adds 3, and its tree one
+    node); an l-term has at most ``4n + 2`` (one more for a negated atom);
+    a *-term at most ``7n - 1``: ``4n + 2 <= 7n - 1`` for ``n >= 1``, and
+    a c- or d-term over *-terms with ``n1`` and ``n2`` has
+    ``1 + (7n1 - 1) + (7n2 - 1) <= 7n - 1``, as ``n >= n1 + n2`` (its left
+    operand's tree has leaves of both kinds); a T-*-term ``P && S`` has at
+    most ``4n1 + 7n2 + 1 <= 7n + 1``.  So ``2 * |nf| <= 14n + 2``.  ``!a``
+    meets the bound: its normal form has 8 nodes and its tree 3.
     """
     if engine == "tree":
         return same_tree(p, q, cap)
     if engine == "nf":
+        if cap is not None and cap >= 1:
+            shapes, tree_cap = {}, (2 * cap + 5) // 7
+            try:
+                differ = _shape(p, tree_cap, shapes) != _shape(q, tree_cap, shapes)
+            except Exception:  # the fold raises nf's own error, if any
+                differ = False
+            if differ and not (p._kinds | q._kinds) & Cond._kind:
+                return False
         h = _Helpers()
         return h.fold(p, cap) == h.fold(q, cap)
     raise ValueError(f"unknown engine: {engine!r}")

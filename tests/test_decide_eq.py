@@ -2,9 +2,12 @@
 
 The ``tree`` and ``cp`` deciders compute the shape of each side (size,
 T-leaves and F-leaves of its tree or basic form) as they check the cap,
-and call a pair of different shapes unequal; the ``nf`` decider, and the
-other two on pairs of one shape, build both sides into one table made
-for the call and compare node ids.  The comparisons of interned objects
+and call a pair of different shapes unequal.  The ``nf`` decider computes
+the tree shapes under a tree cap that, by the bound ``2 * |nf| <= 7 *
+|tree| - 5``, keeps every fold within its own cap, and calls a pair of
+different shapes unequal too.  On pairs of one shape, and ``nf`` on
+sides its walk refuses, the deciders build both sides into one table
+made for the call and compare node ids.  The comparisons of interned objects
 that they replace are kept here as oracles: equal trees, equal normal
 forms and equal basic forms are one object.  A decider must give the
 oracle's verdict, or raise the oracle's error with its message, at every
@@ -42,6 +45,7 @@ from sclkit import (
 )
 from sclkit import cp, normalize, trees
 from sclkit.generate import random_scl_term, random_term
+from sclkit.terms import postorder
 from test_acceptance import SEED, _handcrafted_pairs
 
 CAPS = (None, 0, 1, 5, 30)
@@ -125,6 +129,8 @@ def test_enriched_and_open_pairs_decide_as_the_oracles():
         ("a", "(a && b) || (c && (a || b))"),  # the left side within the cap, the right over it
         ("(a && b) || (c && (a || b))", "a"),
         ("!a", "!a && T"),
+        ("a <| b |> c", "b"),  # shapes differ; from cap 30 on, both pass nf's walk
+        ("T", "!T"),  # shapes differ; at cap 0 nf refuses !T, whose tree the walk passes
     ],
 )
 def test_handpicked_pairs_decide_as_the_oracles(lhs, rhs):
@@ -218,6 +224,7 @@ def test_pairs_of_different_shapes_are_unequal_without_a_build(monkeypatch):
     pairs = [(p, q) for p, q, sp, sq in _shape_pairs(4) if sp != sq]
     assert len(pairs) > 100
     assert not any(decide_eq(p, q, "nf") for p, q in pairs)
+    assert not any(nf(p) is nf(q) for p, q in pairs)
 
     def forbidden(*args):
         raise AssertionError("built a pair of different shapes")
@@ -225,14 +232,16 @@ def test_pairs_of_different_shapes_are_unequal_without_a_build(monkeypatch):
     monkeypatch.setattr(trees, "_same_build", forbidden)
     monkeypatch.setattr(cp, "_same_build", forbidden)
     monkeypatch.setattr(cp, "scl_to_cp", forbidden)
+    monkeypatch.setattr(normalize._Helpers, "fold", forbidden)
     for p, q in pairs:
         assert decide_eq(p, q, "tree") is False, (p, q)
+        assert decide_eq(p, q, "nf") is False, (p, q)
         assert decide_eq_cp(p, q) is False, (p, q)
 
 
 def test_pairs_of_one_shape_are_built(monkeypatch):
     """``a && b`` and ``b && a`` have one shape and two trees: the shape
-    cannot decide them, and the build says INEQUAL."""
+    cannot decide them, and the build (or the fold) says INEQUAL."""
     a, b = Atom("a"), Atom("b")
     cases = [(And(a, b), And(b, a), False), (Or(a, b), Or(b, a), False)]
     for p, q, sp, sq in _shape_pairs(5, 60):
@@ -256,17 +265,52 @@ def test_pairs_of_one_shape_are_built(monkeypatch):
         assert decide_eq(p, q, "tree") is equal, (p, q)
         assert decide_eq_cp(p, q) is equal, (p, q)
         assert builds == [(p, q), (scl_to_cp(p), scl_to_cp(q))]
+    monkeypatch.setattr(normalize._Helpers, "fold", recording(normalize._Helpers.fold))
+    for p, q, equal in cases:
+        del builds[:]
+        assert decide_eq(p, q, "nf") is equal, (p, q)
+        assert [args[1] for args in builds] == [p, q]
 
 
-def test_decide_eq_cp_computes_no_shape_under_no_cap(monkeypatch):
+def test_decide_eq_cp_and_nf_compute_no_shape_under_no_cap(monkeypatch):
     def forbidden(*args):
         raise AssertionError("shape arithmetic under no cap")
 
     cases = [(p, q, decide_eq(p, q, "tree", None)) for p, q, _, _ in _shape_pairs(6, 60)]
     cases += [(p, Not(Not(p)), True) for p, _, _, _ in _shape_pairs(7, 20)]
     monkeypatch.setattr(cp, "_continued", forbidden)
+    monkeypatch.setattr(trees, "_continued", forbidden)
     for p, q, equal in cases:
         assert decide_eq_cp(p, q, None) is equal, (p, q)
+        assert decide_eq(p, q, "nf", None) is equal, (p, q)
+
+
+def test_nf_decides_by_shape_up_to_the_normal_form_bound(corpus, monkeypatch):
+    """A term ``t`` whose normal form meets the bound, with ``m`` nodes, and
+    whose own tree is the largest of its subterms' trees: against a side of
+    another shape it is unequal at cap ``m``, decided with no fold, and at
+    cap ``m - 1`` its fold raises ``nf``'s error, whatever the walk met."""
+    h, cases = normalize._Helpers(), []
+    for t in corpus:
+        m, shape = h.size[h.fold(t, None)], trees._shape(t, None)
+        if t.node_count > 1 and 2 * m == 7 * shape[0] - 5:
+            if all(trees._shape(s, None)[0] <= shape[0] for s in postorder(t)):
+                cases.append((t, FALSE if shape == trees._shape(TRUE, None) else TRUE, m))
+    assert len(cases) == 3658 and (Not(Atom("a")), TRUE, 8) in cases
+    assert {m for _, _, m in cases} == {1, 8, 15, 22}
+    decide_nf = lambda p, q, cap: decide_eq(p, q, "nf", cap)
+    for t, other, m in cases:
+        for p, q in ((t, other), (other, t)):
+            message = f"normal form exceeds the node cap of {m - 1}"
+            assert _outcome(decide_nf, p, q, m - 1) == (TreeTooLarge, message), (p, q)
+
+    def forbidden(*args):
+        raise AssertionError("folded a pair that the bound decides")
+
+    monkeypatch.setattr(normalize._Helpers, "fold", forbidden)
+    for t, other, m in cases:
+        assert decide_eq(t, other, "nf", m) is False, t
+        assert decide_eq(other, t, "nf", m) is False, t
 
 
 @pytest.mark.parametrize(
@@ -292,7 +336,9 @@ def test_a_cap_violation_ends_the_check_on_doubly_exponential_shared_terms(monke
     """``x && x`` nested 40 times over ``a || b`` is 41 distinct objects,
     and the leaf counts of its tree square at each level, to about
     ``2 ** (2 ** 40)``: the deciders stop at the first node over the
-    default cap, the sixth, and compute no shape past it."""
+    default cap, the sixth, and compute no shape past it.  The ``nf``
+    engine's walk stops at the first node over its tree cap (the sixth
+    too), and its fold raises ``nf``'s error."""
     x = Or(Atom("a"), Atom("b"))
     for _ in range(40):
         x = And(x, x)
@@ -313,3 +359,7 @@ def test_a_cap_violation_ends_the_check_on_doubly_exponential_shared_terms(monke
         with pytest.raises(TreeTooLarge):
             decide(x, Atom("a"))
         assert len(calls) == 6
+    del calls[:]
+    with pytest.raises(TreeTooLarge, match="normal form exceeds the node cap"):
+        decide_eq(x, Atom("a"), "nf")
+    assert len(calls) == 6

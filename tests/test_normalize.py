@@ -34,7 +34,7 @@ from sclkit import (
     parse,
     substitute,
 )
-from sclkit import normalize, terms
+from sclkit import normalize, terms, trees
 from sclkit.axioms import dual_equation, eqfscl_axioms
 from sclkit.generate import (
     random_fterm,
@@ -568,6 +568,32 @@ def test_nf_is_linear_in_distinct_subterms():
     assert classify(n) is SnfClass.T_STAR_TERM
     with pytest.raises(TreeTooLarge):
         nf(t)
+
+
+def _nf_and_tree_sizes(terms):
+    """``(|nf(t)|, |tree(t)|)`` of each term, in logical nodes: the normal
+    forms are folded into one table, and the trees shaped with one memo."""
+    h, shapes = normalize._Helpers(), {}
+    return [(h.size[h.fold(t, None)], trees._shape(t, None, shapes)[0]) for t in terms]
+
+
+def test_the_normal_form_bound_holds_and_is_met_on_every_small_term(corpus):
+    """``2 * |nf(t)| <= 7 * |tree(t)| - 5``, the bound that lets the ``nf``
+    engine of ``decide_eq`` decide by tree shape; it is met on 8,006 of the
+    22,136 compound terms, ``!a`` among them, so it cannot be tightened."""
+    compound = [t for t in corpus if t.node_count > 1]
+    assert len(compound) == 22_136
+    sizes = _nf_and_tree_sizes(compound)
+    assert all(2 * m <= 7 * size - 5 for m, size in sizes)
+    met = {t for t, (m, size) in zip(compound, sizes) if 2 * m == 7 * size - 5}
+    assert len(met) == 8_006 and Not(Atom("a")) in met
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_normal_form_bound_holds_on_random_terms(seed):
+    rng = random.Random(seed)
+    sample = [random_scl_term(rng, max_depth=rng.randint(6, 8)) for _ in range(1_000)]
+    assert all(2 * m <= 7 * size - 5 for m, size in _nf_and_tree_sizes(sample))
 
 
 def shared_pieces(levels):
