@@ -3,10 +3,9 @@
 A decomposition splits a tree into a context with hole leaves and a core
 that grafts back to reconstruct the input.  Candidate kinds differ in which
 truth-value leaves the context may keep: ``ccd`` contexts keep F but not T,
-``cdd`` contexts keep T but not F, and ``ctsd`` contexts keep neither (and
-additionally require a core that cannot itself be split by a leaf-free
-context).  The cd/dd/tsd selectors pick the candidate with the shallowest
-core.
+``cdd`` contexts keep T but not F, and ``ctsd`` contexts keep neither and
+have a core that no leaf-free context splits, of which a tree has at most
+one.  The cd/dd/tsd selectors pick the candidate with the shallowest core.
 
 A candidate core is a distinct subtree carrying both leaf kinds, and its
 context holes all of its occurrences; holing fewer can never meet the leaf
@@ -37,7 +36,8 @@ from .normalize import SnfClass, _Helpers, is_star_class
 from .terms import Term, postorder
 from .trees import Leaf, Node, Tree, _children, eval_tree
 
-KINDS = ("ccd", "cdd", "ctsd")
+# kind -> whether its contexts keep a T-leaf, and whether they keep an F-leaf
+KINDS = {"ccd": (False, True), "cdd": (True, False), "ctsd": (False, False)}
 
 
 @dataclass(frozen=True)
@@ -83,40 +83,26 @@ class _Census:
     def candidates(self, kind: str) -> Iterator[int]:
         """The cores of the candidates of the given kind, shallowest first.
 
-        Holing subtree ``k`` keeps a T-leaf iff ``occ[k] * t[k]`` falls
-        short of the tree's T-leaves, and likewise for F.  Candidate cores of
-        one kind are nested (see ``enumerate_candidates``), and an inner
-        subtree has a smaller number, so number order is depth order.
+        Candidate cores of one kind are nested (see ``enumerate_candidates``),
+        and an inner subtree has a smaller number, so number order is depth
+        order.  By the coverage rule, call ``k`` covering when holing it keeps
+        neither leaf kind: ``occ[k] * t[k] == t[root]``, and so for F.  The
+        first covering ``z`` with both leaf kinds is the one ctsd core.  No
+        subtree ``p`` inside ``z`` covers ``z``'s leaves within ``z``: with
+        ``n`` occurrences there, ``occ[p] * t[p] >= occ[z] * n * t[p] =
+        t[root]``, and so for F, so ``p`` would cover (disjoint occurrences
+        hold no more leaves than the tree) and come first.  A later covering
+        ``z'`` is not inside ``z`` and holds every T-leaf, so each occurrence
+        of ``z`` lies in one of ``z'``, and ``z`` splits ``z'``.  The root
+        covers, so a tree with both leaf kinds has exactly one.
         """
+        keeps = KINDS[kind]
         t, f, occ, root = self.t, self.f, self.occ, self.root
         for k in range(3, len(t)):
-            if not (t[k] and f[k]):
-                continue
-            keeps_true = occ[k] * t[k] < t[root]
-            keeps_false = occ[k] * f[k] < f[root]
-            if kind == "ccd":
-                ok = keeps_false and not keeps_true
-            elif kind == "cdd":
-                ok = keeps_true and not keeps_false
-            else:
-                ok = not keeps_true and not keeps_false and self.nondecomposable(k)
-            if ok:
+            if t[k] and f[k] and (occ[k] * t[k] < t[root], occ[k] * f[k] < f[root]) == keeps:
                 yield k
-
-    def nondecomposable(self, z: int) -> bool:
-        """Whether no subtree inside subtree ``z`` covers all of its leaves."""
-        left, right, t, f = self.left, self.right, self.t, self.f
-        occ = [0] * (z + 1)
-        occ[z] = 1
-        for k in range(z, -1, -1):
-            m = occ[k]
-            if m and left[k] >= 0:
-                occ[left[k]] += m
-                occ[right[k]] += m
-        tz, fz = t[z], f[z]
-        return not any(
-            m and m * t[p] == tz and m * f[p] == fz for p, m in enumerate(occ[:z])
-        )
+                if kind == "ctsd":
+                    return
 
     def rebuild(self, k: int, sub: dict[int, int]) -> Tree:
         """Subtree ``k`` with each subtree ``s`` in ``sub`` replaced by the leaf
@@ -181,10 +167,10 @@ def is_nondecomposable(z: Tree) -> bool:
 
     A proper subtree whose disjoint occurrences cover every truth-value
     leaf of ``z`` yields such a context; holing anything less leaves a
-    truth-value leaf behind.  Decided by the coverage rule on a census.
+    truth-value leaf behind.  So ``z`` is a leaf or its own T-*-core.
     """
     census = _Census(z)
-    return census.nondecomposable(census.root)
+    return census.root < 3 or next(census.candidates("ctsd"), None) == census.root
 
 
 def witness(p: Term) -> Tree:

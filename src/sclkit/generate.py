@@ -1,4 +1,4 @@
-"""Seeded random generators for terms, trees, and normal-form shapes.
+"""Seeded random short-circuit terms, substitutions and normal-form shapes.
 
 All functions draw from a caller-supplied ``random.Random`` so suites and
 the fuzz command are reproducible.  The normal-form generators follow the
@@ -13,8 +13,8 @@ from __future__ import annotations
 from random import Random
 from typing import Sequence
 
-from .terms import FALSE, TRUE, And, Atom, Cond, FullAnd, FullOr, Not, Or, Term, Var
-from .trees import _ATOM_SHAPE, _FALSE_SHAPE, _TRUE_SHAPE, Leaf, Node, Tree
+from .terms import FALSE, TRUE, And, Atom, Not, Or, Term
+from .trees import _ATOM_SHAPE, _FALSE_SHAPE, _TRUE_SHAPE
 from .trees import eval_tree  # noqa: F401  (bench/worker.py traces generate.eval_tree)
 
 DEFAULT_ATOMS = ("a", "b", "c")
@@ -74,68 +74,6 @@ def _shaped_scl_term(
         return op(left, right), shape, size if size > peak else peak
 
     return go(max_depth)
-
-
-def random_cp_term(
-    rng: Random, atoms: Sequence[str] = DEFAULT_ATOMS, max_depth: int = 4
-) -> Term:
-    """A closed term over constants, atoms, and the conditional."""
-    if max_depth <= 0 or rng.random() < 0.3:
-        roll = rng.random()
-        if roll < 0.7:
-            return Atom(rng.choice(atoms))
-        return TRUE if roll < 0.85 else FALSE
-    return Cond(
-        random_cp_term(rng, atoms, max_depth - 1),
-        random_cp_term(rng, atoms, max_depth - 1),
-        random_cp_term(rng, atoms, max_depth - 1),
-    )
-
-
-def random_term(
-    rng: Random,
-    atoms: Sequence[str] = DEFAULT_ATOMS,
-    max_depth: int = 5,
-    mode: str = "scl",
-    variables: Sequence[str] = (),
-) -> Term:
-    """A term for the given parse mode; ``open`` admits the given variables."""
-    leaf_kinds: list[Term] = [Atom(a) for a in atoms] + [TRUE, FALSE]
-    if mode == "open" and variables:
-        leaf_kinds += [Var(v) for v in variables]
-    if max_depth <= 0 or rng.random() < 0.3:
-        return rng.choice(leaf_kinds)
-    kinds = ["not", "and", "or", "fulland", "fullor"]
-    if mode == "cp":
-        kinds = ["cond"]
-    elif mode in ("enriched", "open"):
-        kinds.append("cond")
-    kind = rng.choice(kinds)
-    sub = lambda: random_term(rng, atoms, max_depth - 1, mode, variables)
-    if kind == "not":
-        return Not(sub())
-    if kind == "cond":
-        return Cond(sub(), sub(), sub())
-    cls = {"and": And, "or": Or, "fulland": FullAnd, "fullor": FullOr}[kind]
-    return cls(sub(), sub())
-
-
-def random_tree(
-    rng: Random,
-    atoms: Sequence[str] = DEFAULT_ATOMS,
-    max_depth: int = 4,
-    hole_prob: float = 0.0,
-) -> Tree:
-    """A random binary tree; ``hole_prob`` adds hole leaves for contexts."""
-    if max_depth <= 0 or rng.random() < 0.35:
-        if hole_prob and rng.random() < hole_prob:
-            return Leaf.HOLE
-        return Leaf.TRUE if rng.random() < 0.5 else Leaf.FALSE
-    return Node(
-        rng.choice(atoms),
-        random_tree(rng, atoms, max_depth - 1, hole_prob),
-        random_tree(rng, atoms, max_depth - 1, hole_prob),
-    )
 
 
 def random_substitution(

@@ -2,10 +2,11 @@
 
 ``invert`` is a left inverse of tree evaluation on normal forms: trees with
 only T-leaves come back as T-terms, trees with only F-leaves as F-terms,
-and mixed trees are split with the T-*-decomposition and rebuilt as a
-conjunction.  The per-category helpers are exposed for direct use; each
-raises NotInImage (naming the clause and the offending subtree) when its
-input lies outside the corresponding image.
+and mixed trees are split with the T-*-decomposition, which every mixed
+tree has (its root covers all its leaves), and rebuilt as a conjunction.
+The per-category helpers are exposed for direct use; each raises
+NotInImage (naming the clause and the offending subtree) when its input
+lies outside the corresponding image.
 
 Inversion reads the classes of one census of its input (see ``decompose``)
 and builds no tree.  A split's context with its holes filled by T (or F)
@@ -203,9 +204,7 @@ def invert(x: Tree) -> Term:
     if not x.has_true:
         return invert_fterm(x)
     inverse = _Inverse(x)
-    core = next(inverse.candidates("ctsd"), None)
-    if core is None:
-        raise NotInImage("no T-*-decomposition", x, "invert")
+    core = next(inverse.candidates("ctsd"))  # the root covers, so there is one
     inverse.sub[core] = _T
     context = inverse.leaf_term(inverse.root, _T, "invert_tterm")
     del inverse.sub[core]

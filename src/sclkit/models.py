@@ -340,23 +340,6 @@ def independence_rows() -> list[IndependenceRow]:
     ]
 
 
-def check_independence() -> tuple[bool, list[str]]:
-    """Verify the whole suite: each model refutes exactly its axiom.
-
-    Returns overall success and one report line per (model, axiom) pair
-    plus one per refutation.
-    """
-    rows = independence_rows()
-    lines = []
-    for row in rows:
-        name = row.entry.model.name
-        for tag, valid in row.valid.items():
-            status = "ok" if valid == (tag != row.entry.tag) else "UNEXPECTED"
-            lines.append(f"{name} {tag}: {'valid' if valid else 'refuted'} ({status})")
-        lines.append(f"{name} refutation {row.entry.refutation}: {row.lhs} != {row.rhs}")
-    return all(row.ok for row in rows), lines
-
-
 @dataclass(frozen=True)
 class FreeModelCheck:
     valid: bool

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import ModeViolation, NonClosedTerm, NotInNormalForm, TreeTooLarge
+from .errors import ModeViolation, NonClosedTerm, NotInNormalForm, SclError, TreeTooLarge
 from .terms import (
     FALSE,
     TRUE,
@@ -43,19 +43,14 @@ from .trees import eval_tree  # noqa: F401  (bench/worker.py traces normalize.ev
 
 
 class SnfClass(Enum):
-    """The grammar categories ``classify`` reports.
-
-    ``STAR_TERM`` names the *-terms as a whole, but no term is classified
-    as it: a *-term is always reported by its case, an l-, c- or d-term.
-    The member stays as part of the public enumeration.
-    """
+    """The grammar categories ``classify`` reports.  A *-term is reported
+    by its case, an l-, c- or d-term (``is_star_class``)."""
 
     T_TERM = "T-term"
     F_TERM = "F-term"
     L_TERM = "l-term"
     C_TERM = "c-term"
     D_TERM = "d-term"
-    STAR_TERM = "star-term"
     T_STAR_TERM = "T-star-term"
     NOT_SNF = "not-snf"
 
@@ -493,7 +488,7 @@ def decide_eq(p: Term, q: Term, engine: str = "tree", cap: int | None = DEFAULT_
             shapes, tree_cap = {}, (2 * cap + 5) // 7
             try:
                 differ = _shape(p, tree_cap, shapes) != _shape(q, tree_cap, shapes)
-            except Exception:  # the fold raises nf's own error, if any
+            except (SclError, TypeError):  # the fold raises nf's own error, if any
                 differ = False
             if differ and not (p._kinds | q._kinds) & Cond._kind:
                 return False

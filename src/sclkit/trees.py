@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from .errors import DEFAULT_NODE_CAP, ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
 from .terms import FALSE, TRUE, And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
@@ -89,20 +89,6 @@ class Node(_Fields, Interned):
         node.has_hole = left.has_hole or right.has_hole
         node.__class__ = Node  # frozen from here on
         return _enter(key, node)
-
-
-class LeafProfile(NamedTuple):
-    has_true: bool
-    has_false: bool
-
-
-def depth(x: Tree) -> int:
-    return x.depth
-
-
-def leaf_profile(x: Tree) -> LeafProfile:
-    """Report which of the two truth-value leaves occur in ``x``."""
-    return LeafProfile(x.has_true, x.has_false)
 
 
 def _children(x: Tree) -> tuple[Tree, ...]:

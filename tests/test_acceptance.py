@@ -44,9 +44,9 @@ from sclkit.generate import (
     random_scl_term,
     random_snf_term,
     random_star_term,
-    random_tree,
     random_tterm,
 )
+from generators import random_tree
 
 SEED = 987
 

@@ -26,7 +26,8 @@ from sclkit import (
 )
 from sclkit.axioms import eqfscl_minus
 from sclkit.cli import _dot, main
-from sclkit.generate import random_snf_term, random_tree
+from sclkit.generate import random_snf_term
+from generators import random_tree
 
 
 def run(capsys, *argv):

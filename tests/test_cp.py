@@ -33,8 +33,9 @@ from sclkit import (
     valid_in_free_model,
 )
 from sclkit.axioms import cp_axioms, rp_schemes
-from sclkit.generate import random_cp_term, random_scl_term, random_term, random_tree
+from sclkit.generate import random_scl_term
 from sclkit.terms import postorder
+from generators import random_cp_term, random_term, random_tree
 
 
 def test_basic_form_examples():

@@ -44,8 +44,9 @@ from sclkit import (
     scl_to_cp,
 )
 from sclkit import cp, normalize, trees
-from sclkit.generate import random_scl_term, random_term
+from sclkit.generate import random_scl_term
 from sclkit.terms import postorder
+from generators import random_term
 from test_acceptance import SEED, _handcrafted_pairs
 
 CAPS = (None, 0, 1, 5, 30)
@@ -330,6 +331,20 @@ def test_errors_come_before_the_shapes_are_compared(lhs, rhs, error):
     with pytest.raises(error):
         decide_eq_cp(p, q, 5)
     assert_as_oracles(p, q)
+
+
+def test_nf_passes_on_any_other_error_from_the_shape_walk(monkeypatch):
+    """The ``nf`` engine folds both sides when its shape walk raises an
+    ``SclError`` or a ``TypeError`` (a side that is no term), so that the
+    fold raises ``nf``'s own error; any other error is a defect, and comes
+    out as it is."""
+
+    def broken(*args):
+        raise RuntimeError("defect in the shape walk")
+
+    monkeypatch.setattr(normalize, "_shape", broken)
+    with pytest.raises(RuntimeError, match="defect in the shape walk"):
+        decide_eq(parse("a"), parse("a && b"), "nf", 30)
 
 
 def test_a_cap_violation_ends_the_check_on_doubly_exponential_shared_terms(monkeypatch):

@@ -37,9 +37,9 @@ from sclkit.generate import (
     random_scl_term,
     random_snf_term,
     random_star_term,
-    random_tree,
     random_tterm,
 )
+from generators import random_tree
 
 L2 = "((a && T) || F) && ((b && T) || F)"
 
@@ -287,12 +287,15 @@ def seeded_trees(seed):
 SELECTORS = {"ccd": cd, "cdd": dd, "ctsd": tsd}
 
 
-def test_census_matches_brute_force_reference():
-    for x in seeded_trees(27):
+def test_census_matches_brute_force_reference(corpus):
+    corpus_trees = list(dict.fromkeys(eval_tree(t) for t in corpus))  # 1,066 distinct trees
+    for x in seeded_trees(27) + corpus_trees:
         for kind, selector in SELECTORS.items():
             expected = reference_candidates(x, kind)
             assert enumerate_candidates(x, kind) == expected
             assert selector(x) == (expected[0] if expected else None)
+        # one T-*-core wherever both leaf kinds occur (the root covers), else none
+        assert len(enumerate_candidates(x, "ctsd")) == (x.has_true and x.has_false)
         for s in distinct_subtrees(x):
             assert is_nondecomposable(s) == reference_is_nondecomposable(s)
 

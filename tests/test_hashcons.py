@@ -43,7 +43,8 @@ from sclkit import (
     tree_from_json,
     tree_to_json,
 )
-from sclkit.generate import random_scl_term, random_term, random_tree
+from sclkit.generate import random_scl_term
+from generators import random_term, random_tree
 
 T, F, H = Leaf.TRUE, Leaf.FALSE, Leaf.HOLE
 

@@ -21,9 +21,10 @@ from sclkit import (
 )
 from sclkit import trees
 from sclkit.decompose import _Census, _select
-from sclkit.generate import random_scl_term, random_snf_term, random_tree
+from sclkit.generate import random_scl_term, random_snf_term
 from sclkit.terms import FALSE, TRUE, And, Atom, Not, Or
 from test_decompose import reference_replace_subtree
+from generators import random_tree
 
 
 def test_invert_leaves():

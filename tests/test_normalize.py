@@ -26,7 +26,6 @@ from sclkit import (
     decide_eq,
     eval_tree,
     invert,
-    leaf_profile,
     neg_nf,
     neg_star,
     nf,
@@ -43,11 +42,11 @@ from sclkit.generate import (
     random_snf_term,
     random_star_term,
     random_substitution,
-    random_term,
     random_tterm,
 )
 from sclkit.normalize import in_normal_form, is_star_class
 from sclkit.terms import MODES, postorder
+from generators import random_term
 
 
 def test_classify_examples():
@@ -175,8 +174,8 @@ def test_classify_matches_the_term_level_reference_on_draws():
     draws += [nf(random_scl_term(rng, max_depth=rng.randint(1, 6))) for _ in range(200)]
     pieces = [TRUE, FALSE, parse("a"), parse("!a"), parse("!!a"), parse("!(a && b)"), parse("a || b"), parse("a && b")]
     draws += [perturbed(rng, rng.choice(draws[-1_100:]), pieces) for _ in range(3_000)]
-    # no term is classified STAR_TERM: the l-, c- and d-terms are its cases
-    assert {reference_classify(t) for t in draws} == set(SnfClass) - {SnfClass.STAR_TERM}
+    # the draws reach every category
+    assert {reference_classify(t) for t in draws} == set(SnfClass)
     assert_classify_matches_the_reference({s: None for t in draws for s in postorder(t)})
 
 
@@ -193,7 +192,7 @@ def test_classify_matches_the_term_level_reference_on_deep_and_shared_terms():
         shared = Or(And(shared, parse("a")), Not(shared)) if i % 2 else And(Or(shared, parse("b")), shared)
     cases = chains + [shared, nf(shared, cap=None), *shared_pieces(30)]
     assert_classify_matches_the_reference(cases)
-    assert {reference_classify(t) for t in cases} == set(SnfClass) - {SnfClass.STAR_TERM, SnfClass.L_TERM}
+    assert {reference_classify(t) for t in cases} == set(SnfClass) - {SnfClass.L_TERM}
 
 
 def test_nf_base_cases():
@@ -296,11 +295,12 @@ def test_canonicity_both_directions():
 
 def test_leaf_occurrences_per_category():
     rng = random.Random(17)
+    profile = lambda x: (x.has_true, x.has_false)
     for _ in range(150):
-        assert leaf_profile(eval_tree(random_tterm(rng))) == (True, False)
-        assert leaf_profile(eval_tree(random_fterm(rng))) == (False, True)
+        assert profile(eval_tree(random_tterm(rng))) == (True, False)
+        assert profile(eval_tree(random_fterm(rng))) == (False, True)
         star = random_star_term(rng, budget=rng.randint(1, 3))
-        assert leaf_profile(eval_tree(star)) == (True, True)
+        assert profile(eval_tree(star)) == (True, True)
 
 
 def test_fterm_absorbs_right_conjunct():

@@ -30,15 +30,15 @@ PUBLIC = {
     " UninterpretedAtom",
     "inverse": "invert invert_fterm invert_lterm invert_star invert_tterm",
     "models": "Assignment FiniteModel FreeModelCheck IndependenceEntry IndependenceRow"
-    " ValidationResult check_independence eval_in_model independence_rows independence_suite"
+    " ValidationResult eval_in_model independence_rows independence_suite"
     " model_from_json model_to_json valid_in_free_model validates",
     "normalize": "SnfClass and_nf and_star_fterm and_star_tstar and_star_tterm classify"
     " decide_eq in_normal_form is_star_class neg_nf neg_star nf or_nf",
     "parser": "parse",
     "terms": "And Atom Cond Const FALSE FullAnd FullOr MODES Not Or TRUE Term Var check_mode"
     " dual expand_full format_term substitute term_from_json term_to_json variables",
-    "trees": "Leaf LeafProfile Node Tree depth eval_tree format_tree graft leaf_profile"
-    " parse_tree replace tree_from_json tree_to_json",
+    "trees": "Leaf Node Tree eval_tree format_tree graft parse_tree replace tree_from_json"
+    " tree_to_json",
 }
 NAMES = {name: module for module, names in PUBLIC.items() for name in names.split()}
 SUBMODULES = sorted({*PUBLIC, "generate"})

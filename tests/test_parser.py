@@ -25,8 +25,8 @@ from sclkit import (
     term_from_json,
     term_to_json,
 )
-from sclkit.generate import random_term
 from sclkit.terms import _is_name, children
+from generators import random_term
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 

@@ -27,9 +27,6 @@ ALLOWED = {
     "trees._tree_from_json",
     # the random generators, bounded by their max_depth
     "generate._shaped_scl_term.go",
-    "generate.random_cp_term",
-    "generate.random_term",
-    "generate.random_tree",
     "generate.random_tterm",
     "generate.random_fterm",
 }

@@ -31,8 +31,8 @@ from sclkit import (
     term_to_json,
     variables,
 )
-from sclkit.generate import random_term
 from sclkit.terms import postorder
+from generators import random_term
 
 A, B = Atom("a"), Atom("b")
 X, Y, Z = Var("x"), Var("y"), Var("z")

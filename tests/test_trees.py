@@ -24,11 +24,9 @@ from sclkit import (
     ParseError,
     TreeTooLarge,
     Var,
-    depth,
     eval_tree,
     format_tree,
     graft,
-    leaf_profile,
     nf,
     parse,
     parse_tree,
@@ -37,8 +35,9 @@ from sclkit import (
     tree_from_json,
     tree_to_json,
 )
-from sclkit.generate import random_scl_term, random_snf_term, random_term, random_tree
+from sclkit.generate import random_scl_term, random_snf_term
 from sclkit.terms import _is_name, postorder
+from generators import random_term, random_tree
 from test_terms import json_objects
 
 T, F, H = Leaf.TRUE, Leaf.FALSE, Leaf.HOLE
@@ -136,11 +135,12 @@ def test_eval_tree_is_a_congruence():
 
 
 def test_depth_and_leaf_profile():
-    assert depth(T) == 0
-    assert depth(parse_tree("(F <b> (T <a> F))")) == 2
-    assert leaf_profile(eval_tree(parse("a || T"))) == (True, False)
-    assert leaf_profile(eval_tree(parse("a && F"))) == (False, True)
-    assert leaf_profile(eval_tree(parse("a"))) == (True, True)
+    assert T.depth == 0
+    assert parse_tree("(F <b> (T <a> F))").depth == 2
+    profile = lambda x: (x.has_true, x.has_false)
+    assert profile(eval_tree(parse("a || T"))) == (True, False)
+    assert profile(eval_tree(parse("a && F"))) == (False, True)
+    assert profile(eval_tree(parse("a"))) == (True, True)
 
 
 def test_eval_tree_errors():
