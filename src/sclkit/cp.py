@@ -10,9 +10,9 @@ results as those continuations.  Each distinct (term, continuation,
 continuation) triple is built once, so the object graph stays linear in
 the input.  ``scl_to_cp`` eliminates the short-circuit connectives in
 favour of the conditional.  ``decide_eq_cp`` builds no basic form as a
-term: it reads each side as it would translate, to find the shape of its
-form, and only when the two shapes agree does it translate both, build
-their forms into one table of int nodes made for the call and compare
+term: it calls two sides whose trees differ in shape unequal, by the size
+of a basic form (see its docstring), and otherwise translates both, builds
+their forms into one table of int nodes made for the call and compares
 their ids.  Every function here uses an explicit stack and visits each
 distinct object once.
 """
@@ -36,7 +36,7 @@ from .terms import (
     postorder,
 )
 from .trees import DEFAULT_NODE_CAP, Leaf, Tree, _FALSE_SHAPE, _TRUE_SHAPE, _build, _children, _continued, _node
-from .trees import _same_build
+from .trees import _same_build, _shapes_differ
 
 
 def _basic_children(t: Term) -> tuple[Term, ...]:
@@ -97,68 +97,37 @@ def _cond_children(t: Term) -> tuple[Term, ...]:
 _ATOM_SHAPE = (4, 1, 1)
 
 
-def _check(t: Term, cap: int | None, translate: bool = False) -> tuple[int, int, int] | None:
-    """Raise what ``basic_form`` raises, in the order of a bottom-up fold,
-    and return the shape of the form (node count, T-leaves, F-leaves), or
-    None under no cap.
+def _check(t: Term, cap: int | None) -> None:
+    """Raise what ``basic_form`` raises, in the order of a bottom-up fold.
 
     Each conditional's then-branch, guard and else-branch come before it,
     in that order.  A conditional whose guard's form is not a constant
     fails if its own form has more than ``cap`` nodes.  Only the shapes of
-    the forms are computed.  With ``translate``, ``t`` is read as
-    ``scl_to_cp`` translates it (``_as_cond``), with its errors; the first
-    form over the cap ends the walk, and ``t`` is translated before the
-    cap error is raised, so that a translation error of ``t`` comes first.
+    the forms (node count, T-leaves, F-leaves) are computed.
     """
-    shapes = {TRUE: _TRUE_SHAPE, FALSE: _FALSE_SHAPE}
-    for s in postorder(t, _cp_children if translate else _cond_children):
+    shapes = {}
+    for s in postorder(t, _cond_children):
         cls = type(s)
-        if cls is Cond or (translate and (cls is Not or cls is And or cls is Or)):
+        if cls is Cond:
             if cap is not None:
-                a, g, b = _as_cond(s)
-                guard = shapes[g]
-                shapes[s] = shape = _continued(guard, shapes[a], shapes[b])
+                guard = shapes[s.guard]
+                shapes[s] = shape = _continued(guard, shapes[s.then], shapes[s.orelse])
                 if guard[0] > 1 and shape[0] > cap:
-                    if translate:
-                        scl_to_cp(t)
                     raise TreeTooLarge(f"basic form exceeds the node cap of {cap}")
         elif cls is Const:
             shapes[s] = _TRUE_SHAPE if s.value else _FALSE_SHAPE
         elif cls is Atom:
             shapes[s] = _ATOM_SHAPE
-        elif translate:  # a variable or a full connective
-            scl_to_cp(s)  # raises the translation's error
         elif cls is Var:
             raise NonClosedTerm(f"cannot take the basic form of open term: ${s.name}")
         elif cls is Not or cls is And or cls is Or or cls is FullAnd or cls is FullOr:
             raise ModeViolation(f"{cls.__name__} is not a conditional node; translate first")
         else:  # pragma: no cover
             raise TypeError(f"not a term: {s!r}")
-    return None if cap is None else shapes[t]
-
-
-def _as_cond(t: Term) -> tuple[Term, Term, Term] | None:
-    """The then-branch, guard and else-branch of the conditional that
-    ``scl_to_cp`` makes of ``t``, or None if it makes none.
-
-    Negation becomes ``F <| p |> T``, conjunction ``q <| p |> F``, and
-    disjunction ``T <| p |> q``.
-    """
-    cls = type(t)
-    if cls is Cond:
-        return t.then, t.guard, t.orelse
-    if cls is Not:
-        return FALSE, t.arg, TRUE
-    if cls is And:
-        return t.right, t.left, FALSE
-    if cls is Or:
-        return TRUE, t.left, t.right
-    return None
 
 
 def _cp_children(t: Term) -> tuple[Term, ...]:
-    # the parts of ``_as_cond`` other than its constants, in its order: &&
-    # translates its right side first
+    # in the order the translation takes them: && translates its right side first
     cls = type(t)
     if cls is Not:
         return (t.arg,)
@@ -172,20 +141,28 @@ def _cp_children(t: Term) -> tuple[Term, ...]:
 
 
 def scl_to_cp(t: Term) -> Term:
-    """Eliminate !, &&, and || in favour of the conditional, bottom-up
-    (``_as_cond``); the evaluation tree is unchanged."""
-    done = {TRUE: TRUE, FALSE: FALSE}
+    """Eliminate !, &&, and || in favour of the conditional, bottom-up.
+
+    Negation becomes ``F <| p |> T``, conjunction ``q <| p |> F``, and
+    disjunction ``T <| p |> q``; the evaluation tree is unchanged.
+    """
+    done = {}
     for s in postorder(t, _cp_children):
         cls = type(s)
         if cls is Const or cls is Atom:
             done[s] = s
         elif cls is Var:
             raise NonClosedTerm(f"cannot translate open term: ${s.name}")
+        elif cls is Not:
+            done[s] = Cond(FALSE, done[s.arg], TRUE)
+        elif cls is And:
+            done[s] = Cond(done[s.right], done[s.left], FALSE)
+        elif cls is Or:
+            done[s] = Cond(TRUE, done[s.left], done[s.right])
+        elif cls is Cond:
+            done[s] = Cond(done[s.then], done[s.guard], done[s.orelse])
         elif cls is FullAnd or cls is FullOr:
             raise ModeViolation("full-sequential connectives must be expanded before translation")
-        elif (parts := _as_cond(s)) is not None:
-            a, g, b = parts
-            done[s] = Cond(done[a], done[g], done[b])
         else:  # pragma: no cover
             raise TypeError(f"not a term: {s!r}")
     return done[t]
@@ -194,15 +171,22 @@ def scl_to_cp(t: Term) -> Term:
 def decide_eq_cp(p: Term, q: Term, cap: int | None = DEFAULT_NODE_CAP) -> bool:
     """Decide tree equality of two closed enriched terms via basic forms.
 
-    Each side is checked as it translates, against ``cap`` as
-    ``basic_form`` checks its translation, ``p`` first; the check gives the
-    shape of its form.  Basic forms of different shapes differ, so the pair
-    is then unequal.  Otherwise both are translated, their forms are built
-    into one hash-consing table made for the call, in which equal basic
-    forms are one int node (``trees._same_build``), and the two ids are
-    compared; no form is built as a term.  Under no cap no shape is
-    computed, and every pair is built.
+    Under a cap, both sides are first shaped at the tree cap
+    ``(2 * cap + 1) // 3`` (``trees._shapes_differ``).  A basic form has
+    ``(3 * |tree| - 1) / 2`` nodes, one conditional and one atom per inner
+    node of its tree and one constant per leaf, so two sides that pass
+    that walk have every form within ``cap``, and two of different shapes
+    have different forms: the pair is unequal.  Otherwise each side is
+    translated and then checked against ``cap`` as ``basic_form`` checks
+    it, ``p`` first.  The two forms are built into one hash-consing table
+    made for the call, in which equal basic forms are one int node
+    (``trees._same_build``), and the two ids are compared; no form is built
+    as a term.  Under no cap no shape is computed, and every pair is built.
     """
-    if _check(p, cap, True) != _check(q, cap, True):
+    if cap is not None and _shapes_differ(p, q, (2 * cap + 1) // 3):
         return False
-    return _same_build(scl_to_cp(p), scl_to_cp(q))
+    p = scl_to_cp(p)
+    _check(p, cap)
+    q = scl_to_cp(q)
+    _check(q, cap)
+    return _same_build(p, q)

@@ -15,6 +15,15 @@ class ParseError(SclError):
         super().__init__(message)
 
 
+def _token_start(tokens, text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts, or the end of the input, as the
+    pattern ``tokens`` splits it (group 1 is the token): a parse error's position."""
+    for j, m in enumerate(tokens.finditer(text)):
+        if j == i:
+            return m.start(1)
+    return len(text)
+
+
 class ModeViolation(SclError):
     """A term contains a node kind that the requested mode forbids."""
 

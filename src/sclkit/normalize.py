@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import ModeViolation, NonClosedTerm, NotInNormalForm, SclError, TreeTooLarge
+from .errors import ModeViolation, NonClosedTerm, NotInNormalForm, TreeTooLarge
 from .terms import (
     FALSE,
     TRUE,
@@ -38,7 +38,7 @@ from .terms import (
     Var,
     postorder,
 )
-from .trees import DEFAULT_NODE_CAP, _shape, same_tree
+from .trees import DEFAULT_NODE_CAP, _shapes_differ, same_tree
 from .trees import eval_tree  # noqa: F401  (bench/worker.py traces normalize.eval_tree)
 
 
@@ -298,14 +298,23 @@ class _Helpers:
             raise self.reject(q, "term in normal form")
         if p == 0:
             result = q
+        elif pc is _T and qc is _TS:
+            result = self.node(And, self.and_nf(p, left[q]), right[q], _TS)
         elif pc is _T:
-            a, pt, qt = left[left[p]], right[left[p]], right[p]
-            if qc is _T:
-                result = self.node(Or, self.node(And, a, self.and_nf(pt, q), _NO), self.and_nf(qt, q), _T)
-            elif qc is _F:
-                result = self.node(And, self.node(Or, a, self.and_nf(qt, q), _NO), self.and_nf(pt, q), _F)
-            else:
-                result = self.node(And, self.and_nf(p, left[q]), right[q], _TS)
+            # p = (a && pt) || qt with T-terms pt and qt: the T-terms under p
+            # are walked from a stack, each conjoined with q once, operands first
+            ands, node, stack = self.ands, self.node, [p]
+            ands[0, q] = q
+            while stack:
+                s = stack[-1]
+                a, pt, qt = left[left[s]], right[left[s]], right[s]
+                if (x := ands.get((pt, q))) is None or (y := ands.get((qt, q))) is None:
+                    stack.append(pt if x is None else qt)
+                elif qc is _T:
+                    ands[stack.pop(), q] = node(Or, node(And, a, x, _NO), y, _T)
+                else:
+                    ands[stack.pop(), q] = node(And, node(Or, a, y, _NO), x, _F)
+            result = ands[p, q]
         elif pc is _F:
             result = p
         elif pc is _TS:
@@ -458,15 +467,15 @@ def decide_eq(p: Term, q: Term, engine: str = "tree", cap: int | None = DEFAULT_
     ``eval_tree`` or ``nf`` raises on ``p`` and then on ``q``.  The two
     agree on every closed short-circuit pair.
 
-    Under a cap of at least 1, ``nf`` first shapes ``p`` and then ``q``
-    with ``trees._shape``, one memo and the tree cap ``(2 * cap + 5) // 7``.
-    If both walks pass, neither side holds a conditional and the shapes
-    differ, the pair is unequal, for a normal form keeps its tree, and no
-    fold would raise: every subterm's tree is within the tree cap, so its
-    normal form is within ``cap`` by the bound below.  Otherwise both sides
-    are folded, which raises ``nf``'s own error, if any.  (At cap 0 the
-    walk would pass ``!T``, whose tree is a leaf, but ``nf`` refuses its
-    one-node normal form.)
+    Under a cap of at least 1, ``nf`` first shapes both sides at the tree
+    cap ``(2 * cap + 5) // 7`` (``trees._shapes_differ``).  If both walks
+    pass, neither side holds a conditional and the shapes differ, the pair
+    is unequal, for a normal form keeps its tree, and no fold would raise:
+    every subterm's tree is within the tree cap, so its normal form is
+    within ``cap`` by the bound below.  Otherwise both sides are folded,
+    which raises ``nf``'s own error, if any.  (At cap 0 the walk would
+    pass ``!T``, whose tree is a leaf, but ``nf`` refuses its one-node
+    normal form.)
 
     The bound: ``2 * |nf(s)| <= 7 * |tree(s)| - 5`` for every closed
     ``!``/``&&``/``||`` term ``s``, where ``|.|`` counts logical nodes.  By
@@ -484,13 +493,8 @@ def decide_eq(p: Term, q: Term, engine: str = "tree", cap: int | None = DEFAULT_
     if engine == "tree":
         return same_tree(p, q, cap)
     if engine == "nf":
-        if cap is not None and cap >= 1:
-            shapes, tree_cap = {}, (2 * cap + 5) // 7
-            try:
-                differ = _shape(p, tree_cap, shapes) != _shape(q, tree_cap, shapes)
-            except (SclError, TypeError):  # the fold raises nf's own error, if any
-                differ = False
-            if differ and not (p._kinds | q._kinds) & Cond._kind:
+        if cap is not None and cap >= 1 and _shapes_differ(p, q, (2 * cap + 5) // 7):
+            if not (p._kinds | q._kinds) & Cond._kind:
                 return False
         h = _Helpers()
         return h.fold(p, cap) == h.fold(q, cap)

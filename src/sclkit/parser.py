@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import ParseError, _token_start
 from .terms import (
     FALSE,
     TRUE,
@@ -144,12 +144,4 @@ def _fail(text: str, tokens: list[str], i: int, message: str):
             continue
         i = j
         break
-    raise ParseError(message, _start(text, i))
-
-
-def _start(text: str, i: int) -> int:
-    """Where token ``i`` of ``text`` starts, or the end of the input."""
-    for j, m in enumerate(_TOKEN.finditer(text)):
-        if j == i:
-            return m.start(1)
-    return len(text)
+    raise ParseError(message, _token_start(_TOKEN, text, i))

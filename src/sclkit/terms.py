@@ -423,7 +423,7 @@ def expand_full(t: Term) -> Term:
 
 # Rendering levels; a child is parenthesized when its level is below the
 # level its position requires.
-_LEVEL_COND, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = 0, 1, 2, 3, 4
+_LEVEL_COND, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT = 0, 1, 2, 3
 
 
 _INFIX = {

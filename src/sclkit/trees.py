@@ -27,7 +27,8 @@ import re
 from enum import Enum
 from typing import Callable, Mapping
 
-from .errors import DEFAULT_NODE_CAP, ModeViolation, NonClosedTerm, ParseError, TreeTooLarge
+from .errors import DEFAULT_NODE_CAP, ModeViolation, NonClosedTerm, ParseError, SclError, TreeTooLarge
+from .errors import _token_start
 from .terms import FALSE, TRUE, And, Atom, Cond, Const, FullAnd, FullOr, Not, Or, Term, Var
 from .terms import _IDENT_RE, _RESERVED, Interned, _is_name, postorder, unique_table
 
@@ -218,6 +219,18 @@ def _shape(
     return shapes[term]
 
 
+def _shapes_differ(p: Term, q: Term, cap: int) -> bool:
+    """Whether ``p`` and ``q`` both pass ``_shape`` at ``cap``, ``p`` first
+    and with one memo, and their trees differ in shape, so that the two
+    sides are unequal.  False if either walk raises an ``SclError`` or a
+    ``TypeError``: the caller's own check then raises its error, if any."""
+    shapes = {}
+    try:
+        return _shape(p, cap, shapes) != _shape(q, cap, shapes)
+    except (SclError, TypeError):
+        return False
+
+
 def _continued(x, on_true, on_false) -> tuple[int, int, int]:
     """Shape of a tree of shape ``x`` once its T- and F-leaves are replaced
     by trees of shapes ``on_true`` and ``on_false``."""
@@ -392,23 +405,24 @@ def parse_tree(text: str) -> Tree:
             elif not token:
                 raise ParseError("unexpected end of input", len(text))
             else:
-                raise ParseError(f"expected 'T', 'F', '^', or '(', found {token[0]!r}", _start(text, i - 1))
+                message = f"expected 'T', 'F', '^', or '(', found {token[0]!r}"
+                raise ParseError(message, _token_start(_TREE_TOKEN, text, i - 1))
         while opened:  # ``tree`` is a branch of the innermost open node
             token = tokens[i]
             if opened[-1] is None:
                 if token[:1] != "<" or token == "<":
                     message = "unterminated '<atom>'" if token == "<" else "expected '<atom>'"
-                    raise ParseError(message, _start(text, i))
+                    raise ParseError(message, _token_start(_TREE_TOKEN, text, i))
                 atom = token[1:-1]
                 if atom not in names:
                     if not _is_name(atom):
-                        raise ParseError(f"invalid atom name {atom!r}", _start(text, i) + 1)
+                        raise ParseError(f"invalid atom name {atom!r}", _token_start(_TREE_TOKEN, text, i) + 1)
                     names.add(atom)
                 opened[-1] = atom, tree
                 i += 1
                 break
             if token != ")":
-                raise ParseError("expected ')'", _start(text, i))
+                raise ParseError("expected ')'", _token_start(_TREE_TOKEN, text, i))
             i += 1
             atom, left = opened.pop()
             key = atom, left, tree
@@ -417,7 +431,7 @@ def parse_tree(text: str) -> Tree:
                 tree = built[key] = Node(*key)
         else:
             if tokens[i]:
-                raise ParseError(f"unexpected trailing {tokens[i][0]!r}", _start(text, i))
+                raise ParseError(f"unexpected trailing {tokens[i][0]!r}", _token_start(_TREE_TOKEN, text, i))
             return tree
 
 
@@ -442,14 +456,6 @@ def _read_subtree(token: str, built: dict, names: set[str]) -> Tree:
         else:
             stack.append(_LEAVES[part])
     return stack[0]
-
-
-def _start(text: str, i: int) -> int:
-    """Where token ``i`` of ``text`` starts, or the end of the input."""
-    for j, m in enumerate(_TREE_TOKEN.finditer(text)):
-        if j == i:
-            return m.start(1)
-    return len(text)
 
 
 _LEAF_JSON = {Leaf.TRUE: "T", Leaf.FALSE: "F", Leaf.HOLE: "hole"}

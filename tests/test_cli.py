@@ -412,6 +412,19 @@ def test_long_chain_conjoined_with_f_goes_through_nf_and_eq(capsys):
         assert run(capsys, "eq", chain + " && F", chain + " && F && a0", "--engine", engine) == (0, "EQUAL\n", "")
 
 
+def test_deep_t_term_conjoined_with_an_atom_goes_through_nf_and_eq(capsys):
+    # P0 && b, where Pi = (ai && Pi+1) || T and P5000 = T: a T-term nested
+    # 5,000 deep, conjoined with b one level at a time
+    t = "T"
+    for i in reversed(range(5000)):
+        t = f"(a{i} && ({t})) || T"
+    expr = f"({t}) && b"
+    code, out, err = run(capsys, "nf", expr)
+    assert (code, err) == (0, "")
+    assert parse(out) is invert(eval_tree(parse(expr)))
+    assert run(capsys, "eq", expr, out, "--engine", "nf") == (0, "EQUAL\n", "")
+
+
 def test_negated_and_disjoined_long_chains_go_through_nf_and_eq(capsys):
     n = 10_000
     chain = " && ".join(f"a{i}" for i in range(n))

@@ -69,6 +69,14 @@ def test_structural_bijection():
         assert basic_of(tree_of(b)) == b
 
 
+def test_a_basic_form_has_one_conditional_and_one_atom_per_inner_node_of_its_tree(corpus):
+    """A tree with ``n`` inner nodes has ``2n + 1`` nodes, and its basic
+    form ``n`` conditionals, ``n`` atoms and ``n + 1`` constants: the
+    bound by which ``decide_eq_cp`` decides from tree shapes."""
+    for t in corpus:
+        assert 2 * basic_form(scl_to_cp(t), None).node_count == 3 * eval_tree(t, None).size - 1, t
+
+
 def test_basic_form_agrees_with_tree_readoff():
     # the compose recursion and the tree route must give the same answer
     rng = random.Random(42)

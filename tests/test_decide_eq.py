@@ -1,13 +1,14 @@
 """The equality deciders against the comparisons they replace.
 
-The ``tree`` and ``cp`` deciders compute the shape of each side (size,
-T-leaves and F-leaves of its tree or basic form) as they check the cap,
-and call a pair of different shapes unequal.  The ``nf`` decider computes
-the tree shapes under a tree cap that, by the bound ``2 * |nf| <= 7 *
-|tree| - 5``, keeps every fold within its own cap, and calls a pair of
-different shapes unequal too.  On pairs of one shape, and ``nf`` on
-sides its walk refuses, the deciders build both sides into one table
-made for the call and compare node ids.  The comparisons of interned objects
+The ``tree`` decider computes the shape of each side's tree (size,
+T-leaves and F-leaves) as it checks the cap, and calls a pair of
+different shapes unequal.  The ``nf`` and ``cp`` deciders compute the
+tree shapes under a tree cap that keeps every normal form, or every basic
+form, within their own cap (by ``2 * |nf| <= 7 * |tree| - 5`` and
+``2 * |basic form| = 3 * |tree| - 1``), and call a pair of different
+shapes unequal too.  On pairs of one shape, and on sides the walk
+refuses, the deciders build both sides into one table made for the call
+and compare node ids.  The comparisons of interned objects
 that they replace are kept here as oracles: equal trees, equal normal
 forms and equal basic forms are one object.  A decider must give the
 oracle's verdict, or raise the oracle's error with its message, at every
@@ -314,6 +315,47 @@ def test_nf_decides_by_shape_up_to_the_normal_form_bound(corpus, monkeypatch):
         assert decide_eq(other, t, "nf", m) is False, t
 
 
+def test_cp_decides_by_shape_up_to_the_basic_form_bound(corpus, monkeypatch):
+    """A term ``t`` whose own tree, of ``s`` nodes, is the largest of its
+    subterms' trees, and whose top guard's tree is not a leaf: its basic
+    form has ``m = (3s - 1) / 2`` nodes.  Against ``T`` it is unequal at cap
+    ``m``, decided with no translation, and at cap ``m - 1`` the check of
+    its translation raises the basic-form error."""
+    cases = []
+    for t in corpus:
+        if t.node_count > 1:
+            size, guard = trees._shape(t, None)[0], t.arg if type(t) is Not else t.left
+            if trees._shape(guard, None)[0] > 1 and all(trees._shape(s, None)[0] <= size for s in postorder(t)):
+                cases.append((t, (3 * size - 1) // 2))
+    assert len(cases) == 13132 and (Not(Atom("a")), 4) in cases
+    assert {m for _, m in cases} == {4, 7, 10, 13, 16, 19, 22}
+    for t, m in cases:
+        for p, q in ((t, TRUE), (TRUE, t)):
+            message = f"basic form exceeds the node cap of {m - 1}"
+            assert _outcome(decide_eq_cp, p, q, m - 1) == (TreeTooLarge, message), (p, q)
+
+    def forbidden(*args):
+        raise AssertionError("translated a pair that the bound decides")
+
+    monkeypatch.setattr(cp, "scl_to_cp", forbidden)
+    for t, m in cases:
+        assert decide_eq_cp(t, TRUE, m) is False, t
+        assert decide_eq_cp(TRUE, t, m) is False, t
+
+
+def test_cp_decides_every_small_pair_as_its_oracle(corpus):
+    """Every closed term of at most 5 nodes against sides of other shapes
+    and kinds, a conditional among them, both ways round, at caps on both
+    sides of the tree caps ``(2 * cap + 1) // 3``."""
+    _, decide, oracle = ENGINES[2]
+    others = [parse(s, "enriched") for s in ("T", "a", "!a", "a && b", "a <| b |> F")]
+    for t in (t for t in corpus if t.node_count <= 5):
+        for other in others:
+            for p, q in ((t, other), (other, t)):
+                for cap in (None, 0, 3, 4, 7, 10):
+                    assert _outcome(decide, p, q, cap) == _outcome(oracle, p, q, cap), (p, q, cap)
+
+
 @pytest.mark.parametrize(
     "lhs, rhs, error",
     [
@@ -334,47 +376,64 @@ def test_errors_come_before_the_shapes_are_compared(lhs, rhs, error):
 
 
 def test_nf_passes_on_any_other_error_from_the_shape_walk(monkeypatch):
-    """The ``nf`` engine folds both sides when its shape walk raises an
-    ``SclError`` or a ``TypeError`` (a side that is no term), so that the
-    fold raises ``nf``'s own error; any other error is a defect, and comes
-    out as it is."""
+    """The ``nf`` and ``cp`` engines go on to their own checks when their
+    shape walk (``trees._shapes_differ``) raises an ``SclError`` or a
+    ``TypeError`` (a side that is no term), so that those checks raise the
+    engine's own error; any other error is a defect, and comes out as it
+    is."""
+    p, q = parse("a"), parse("a && b")
+    engines = (lambda p, q, cap: decide_eq(p, q, "nf", cap), decide_eq_cp)
 
-    def broken(*args):
-        raise RuntimeError("defect in the shape walk")
+    def raising(error):
+        def walk(*args):
+            raise error
 
-    monkeypatch.setattr(normalize, "_shape", broken)
-    with pytest.raises(RuntimeError, match="defect in the shape walk"):
-        decide_eq(parse("a"), parse("a && b"), "nf", 30)
+        return walk
+
+    for error in (TreeTooLarge("tree exceeds the node cap of 1"), TypeError("not a term")):
+        monkeypatch.setattr(trees, "_shape", raising(error))
+        for decide in engines:
+            assert decide(p, q, 30) is False
+    monkeypatch.setattr(trees, "_shape", raising(RuntimeError("defect in the shape walk")))
+    for decide in engines:
+        with pytest.raises(RuntimeError, match="defect in the shape walk"):
+            decide(p, q, 30)
 
 
 def test_a_cap_violation_ends_the_check_on_doubly_exponential_shared_terms(monkeypatch):
     """``x && x`` nested 40 times over ``a || b`` is 41 distinct objects,
     and the leaf counts of its tree square at each level, to about
-    ``2 ** (2 ** 40)``: the deciders stop at the first node over the
-    default cap, the sixth, and compute no shape past it.  The ``nf``
-    engine's walk stops at the first node over its tree cap (the sixth
-    too), and its fold raises ``nf``'s error."""
+    ``2 ** (2 ** 40)``: each walk stops at its first node over its cap and
+    computes no shape past it.  The ``tree`` engine's walk stops at the
+    sixth node, over the default cap.  The ``nf`` and ``cp`` engines' tree
+    walks stop at the sixth node too, over their tree caps; the ``nf``
+    fold then raises ``nf``'s error, and ``cp``'s check of the translated
+    side stops at the sixth conditional, over the default cap."""
     x = Or(Atom("a"), Atom("b"))
     for _ in range(40):
         x = And(x, x)
-    calls = []
+    calls = {trees: [], cp: []}
 
-    def counted(continued):
+    def counted(module):
+        continued = module._continued
+
         def wrapped(*args):
-            calls.append(args)
-            assert len(calls) <= 6, "shape arithmetic past the cap violation"
+            calls[module].append(args)
+            assert len(calls[module]) <= 6, "shape arithmetic past the cap violation"
             return continued(*args)
 
         return wrapped
 
-    monkeypatch.setattr(cp, "_continued", counted(cp._continued))
-    monkeypatch.setattr(trees, "_continued", counted(trees._continued))
-    for decide in (lambda p, q: decide_eq(p, q, "tree"), decide_eq_cp):
-        del calls[:]
-        with pytest.raises(TreeTooLarge):
+    monkeypatch.setattr(cp, "_continued", counted(cp))
+    monkeypatch.setattr(trees, "_continued", counted(trees))
+    engines = [
+        (lambda p, q: decide_eq(p, q, "tree"), "tree exceeds", 0),
+        (lambda p, q: decide_eq(p, q, "nf"), "normal form exceeds", 0),
+        (decide_eq_cp, "basic form exceeds", 6),
+    ]
+    for decide, message, checked in engines:
+        calls[trees].clear()
+        calls[cp].clear()
+        with pytest.raises(TreeTooLarge, match=message):
             decide(x, Atom("a"))
-        assert len(calls) == 6
-    del calls[:]
-    with pytest.raises(TreeTooLarge, match="normal form exceeds the node cap"):
-        decide_eq(x, Atom("a"), "nf")
-    assert len(calls) == 6
+        assert (len(calls[trees]), len(calls[cp])) == (6, checked)
