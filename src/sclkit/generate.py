@@ -40,27 +40,30 @@ _CONNECTIVES = (Not, And, And, Or, Or)
 
 
 def _shaped_scl_term(
-    rng: Random, atoms: Sequence[str], max_depth: int, max_size: int | None
-) -> tuple[Term, tuple[int, int, int], int]:
+    rng: Random, atoms: Sequence[str], max_depth: int, max_size: int | None, terms: bool = True
+) -> tuple[Term | None, tuple[int, int, int], int]:
     """``random_scl_term``'s draw, with the shape of its evaluation tree
     (as ``trees._shape`` gives it) and its peak: the largest tree size of
     any of its subterms.  Both are worked out as each node is drawn.  The
     peak can exceed the term's own size, as in ``F && p``, whose tree is
-    one leaf whatever ``p`` is."""
+    one leaf whatever ``p`` is.  Without ``terms`` no atom or compound
+    term is made (its place holds None), and the draw takes the same
+    stream and gives the same shape and peak."""
     random, choice = rng.random, rng.choice
     budget = [max_size if max_size is not None else 1 << 62]
 
-    def go(depth: int) -> tuple[Term, tuple[int, int, int], int]:
+    def go(depth: int) -> tuple[Term | None, tuple[int, int, int], int]:
         budget[0] -= 1
         if depth <= 0 or budget[0] <= 0 or random() < 0.28:
             roll = random()
             if roll < 0.7:
-                return Atom(choice(atoms)), _ATOM_SHAPE, 3
+                name = choice(atoms)
+                return Atom(name) if terms else None, _ATOM_SHAPE, 3
             return (TRUE, _TRUE_SHAPE, 1) if roll < 0.85 else (FALSE, _FALSE_SHAPE, 1)
         op = choice(_CONNECTIVES)
         if op is Not:
             arg, (size, t, f), peak = go(depth - 1)
-            return Not(arg), (size, f, t), peak
+            return Not(arg) if terms else None, (size, f, t), peak
         left, (size, t, f), peak = go(depth - 1)
         right, (size_r, t_r, f_r), peak_r = go(depth - 1)
         if op is And:  # the right tree continues at the left's T-leaves
@@ -71,7 +74,7 @@ def _shaped_scl_term(
             shape = size, t + f * t_r, f * f_r
         if peak_r > peak:
             peak = peak_r
-        return op(left, right), shape, size if size > peak else peak
+        return op(left, right) if terms else None, shape, size if size > peak else peak
 
     return go(max_depth)
 
@@ -101,15 +104,17 @@ def _shaped_substitution(
     atoms: Sequence[str] = DEFAULT_ATOMS,
     max_depth: int = 6,
     max_tree: int | None = 120,
-) -> dict[str, tuple[Term, tuple[int, int, int], int]]:
+    terms: bool = True,
+) -> dict[str, tuple[Term | None, tuple[int, int, int], int]]:
     """``random_substitution``'s draw: each variable, in name order, mapped
-    to its term, the term's tree shape and its peak (``_shaped_scl_term``)."""
+    to its term, the term's tree shape and its peak (``_shaped_scl_term``,
+    which makes no term without ``terms``)."""
     out = {}
     for v in sorted(variables):  # each draw at random_scl_term's default max_size
-        drawn = _shaped_scl_term(rng, atoms, max_depth, 40)
+        drawn = _shaped_scl_term(rng, atoms, max_depth, 40, terms)
         if max_tree is not None:
             while drawn[1][0] > max_tree:
-                drawn = _shaped_scl_term(rng, atoms, max_depth, 40)
+                drawn = _shaped_scl_term(rng, atoms, max_depth, 40, terms)
         out[v] = drawn
     return out
 

@@ -10,15 +10,18 @@ satisfies all reduced-set axioms except the one it refutes, together with
 the cited closed refutation.
 
 ``valid_in_free_model`` checks an equation against tree semantics under
-seeded random closed substitutions instead.  A sample reads the equation's
-sides as templates against its substitution, so no substituted term is
-made; ``trees.same_tree`` shapes both sides, refutes on sides of
-different shapes, and otherwise builds both with shared memos into a
-per-sample table of int nodes and compares the two ids.  Each draw
-of the substitution comes with its tree's shape and peak (the largest tree
-size of any of its subterms): its rejection test reads the size, and a
-binding whose peak fits the cap seeds the shape memo, so it is not shaped
-again.
+seeded random closed substitutions instead.  It first reads each variable
+as a fresh atom: if both sides then have one tree, they have one under
+every substitution (leaf replacement), and the samples only draw their
+shapes and check them against the cap, building nothing.  Otherwise a
+sample reads the equation's sides as templates against its substitution,
+so no substituted term is made; ``trees.same_tree`` shapes both sides,
+refutes on sides of different shapes, and otherwise builds both with
+shared memos into a per-sample table of int nodes and compares the two
+ids.  Each draw of the substitution comes with its tree's shape and peak
+(the largest tree size of any of its subterms): its rejection test reads
+the size, and a binding whose peak fits the cap seeds the shape memo, so
+it is not shaped again.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from random import Random
 from typing import Mapping, Sequence
 
 from .axioms import Equation, eqfscl_minus
-from .errors import ModeViolation, ParseError, UninterpretedAtom, UnboundVariable
+from .errors import ModeViolation, ParseError, SclError, TreeTooLarge, UninterpretedAtom, UnboundVariable
 from .generate import _shaped_substitution
 from .generate import random_substitution  # noqa: F401  (bench/worker.py traces models.random_substitution)
 from .terms import (
@@ -49,7 +52,7 @@ from .terms import (
     postorder,
 )
 from .terms import substitute  # noqa: F401  (bench/worker.py traces models.substitute)
-from .trees import DEFAULT_NODE_CAP, same_tree
+from .trees import DEFAULT_NODE_CAP, _shape, same_tree
 from .trees import eval_tree  # noqa: F401  (bench/worker.py traces models.eval_tree)
 
 Assignment = Mapping[str, int]
@@ -361,17 +364,26 @@ def valid_in_free_model(
     """Check an equation against tree semantics under random closed
     substitutions; a failure reports the witnessing substitution.
 
-    Each sample reads the two sides of ``eq`` as templates, each variable
-    as its binding: no substituted term is made.  ``same_tree`` checks
-    both sides (left first) against ``cap`` by arithmetic, which gives the
-    shapes of their trees: sides of different shapes refute ``eq``.
-    Otherwise it builds their trees with one memo into a hash-consing table
-    of the sample's own, in which a node is an int, so equal trees have
-    one id.  No tree
-    is interned.  The draw gives each binding's shape and peak; a binding
-    whose peak fits the cap seeds the shape memo and is not shaped again,
-    and any other is walked where it is met, so an error comes where a
-    walk of the substituted sides would raise it.
+    In free SCL an atom's evaluation is not remembered, so the tree of
+    ``t[x:=s]`` is that of ``t`` with each ``x``-node replaced by the tree
+    of ``s``, continued at its T- and F-leaves.  So sides with one tree
+    when each variable is read as a fresh atom have one tree under every
+    closed substitution.  Given samples, that is checked once first
+    (``_fresh_atoms``).  If it holds, nothing is built: each sample still
+    draws from the stream (shapes and peaks, no terms), and raises
+    ``TreeTooLarge`` where its substituted sides would: when a binding's
+    peak, or a subterm of a side shaped with the fresh atoms seeded with
+    the drawn shapes, exceeds the cap.
+
+    Otherwise each sample reads the sides as templates, each variable as
+    its binding, so witnesses and errors come as from the substituted
+    sides.  ``same_tree`` checks both sides (left first) against ``cap``
+    by arithmetic: sides of different shapes refute ``eq``, and others
+    are built with one memo into a table of int nodes of the sample's
+    own.  No tree is interned.  The draw gives each binding's shape and
+    peak; a binding whose peak fits the cap seeds the shape memo and is
+    not shaped again, and any other is walked where it is met, so an
+    error comes where a walk of the substituted sides would raise it.
     """
     if samples < 0:
         raise ValueError(f"samples must be a non-negative count, got {samples}")
@@ -379,6 +391,17 @@ def valid_in_free_model(
     names = sorted(eq.variables)
     lhs, rhs = eq.lhs, eq.rhs
     limit = None if cap is None else max(cap, 1)  # the size _shape lets pass
+    fresh = _fresh_atoms(eq, names, atoms, cap) if samples else None
+    if fresh is not None:
+        for _ in range(samples):
+            drawn = _shaped_substitution(rng, names, atoms, max_depth, terms=False)
+            if limit is not None:
+                if any(peak > limit for _, _, peak in drawn.values()):
+                    raise TreeTooLarge(f"tree exceeds the node cap of {cap}")
+                shapes = {fresh[v]: shape for v, (_, shape, _) in drawn.items()}
+                _shape(lhs, cap, shapes, fresh)
+                _shape(rhs, cap, shapes, fresh)
+        return FreeModelCheck(True, None, samples)
     for i in range(samples):
         drawn = _shaped_substitution(rng, names, atoms, max_depth)
         subst = {v: term for v, (term, _, _) in drawn.items()}
@@ -386,6 +409,25 @@ def valid_in_free_model(
         if not same_tree(lhs, rhs, cap, subst, shapes):
             return FreeModelCheck(False, subst, i + 1)
     return FreeModelCheck(True, None, samples)
+
+
+def _fresh_atoms(eq: Equation, names: list[str], atoms: Sequence[str], cap: int | None) -> dict[str, Atom] | None:
+    """Each variable of ``eq`` bound to a fresh atom, if both sides then
+    have one tree within ``cap``; else None, also when ``same_tree``
+    raises, or when a draw over ``atoms`` could make an atom that raises.
+    A variable's atom is its name with the fewest trailing ``_`` that
+    keeps every such name off the atoms of ``eq``."""
+    if not all(map(_is_name, atoms)):
+        return None
+    own = {s.name for side in (eq.lhs, eq.rhs) for s in postorder(side) if type(s) is Atom}
+    k = 0
+    while any(v + "_" * k in own for v in names):
+        k += 1
+    fresh = {v: Atom(v + "_" * k) for v in names}
+    try:
+        return fresh if same_tree(eq.lhs, eq.rhs, cap, fresh) else None
+    except (SclError, TypeError):
+        return None
 
 
 def model_to_json(m: FiniteModel):

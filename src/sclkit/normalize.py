@@ -330,29 +330,31 @@ class _Helpers:
         return result
 
     def and_star_tterm(self, s: int, r: int) -> int:
-        # A d-term's left spine is walked in a loop: down to the first operand
-        # that is no d-term or whose result is known, then back up.
-        memo, cat, left, right = self.tterms, self.cat, self.left, self.right
+        # A c-term conjoins r into its right operand and a d-term into both:
+        # the operands are walked from a stack, left first, each pair once.
+        memo, cat, left, right, node = self.tterms, self.cat, self.left, self.right, self.node
         if cat[r] is not _T:
             raise self.reject(r, "T-term")
-        spine = []
-        while (s, r) not in memo and cat[s] is _D:
-            spine.append(s)
-            s = left[s]
-        if (result := memo.get((s, r))) is None:
-            if cat[s] is _L:
+        stack = [] if (s, r) in memo else [s]
+        while stack:
+            t = stack[-1]
+            c = cat[t]
+            if c is _L:
                 # (^a && p) || q  ->  (^a && (p . r)) || q
-                a = self.node(And, left[left[s]], self.and_nf(right[left[s]], r), _NO)
-                result = self.node(Or, a, right[s], _L)
-            elif cat[s] is _C:
-                result = self.node(And, left[s], self.and_star_tterm(right[s], r), _C)
+                a = node(And, left[left[t]], self.and_nf(right[left[t]], r), _NO)
+                result = node(Or, a, right[t], _L)
+            elif c is _D and (x := memo.get((left[t], r))) is None:
+                stack.append(left[t])
+                continue
+            elif c is not _C and c is not _D:
+                raise self.reject(t, "*-term")
+            elif (y := memo.get((right[t], r))) is None:
+                stack.append(right[t])
+                continue
             else:
-                raise self.reject(s, "*-term")
-            memo[s, r] = result
-        for s in reversed(spine):
-            result = self.node(Or, result, self.and_star_tterm(right[s], r), _D)
-            memo[s, r] = result
-        return result
+                result = node(And, left[t], y, _C) if c is _C else node(Or, x, y, _D)
+            memo[stack.pop(), r] = result
+        return memo[s, r]
 
     def and_star_fterm(self, s: int, r: int) -> int:
         # A c-term gives and_star_fterm(s.left, and_star_fterm(s.right, r)): its

@@ -425,6 +425,19 @@ def test_deep_t_term_conjoined_with_an_atom_goes_through_nf_and_eq(capsys):
     assert run(capsys, "eq", expr, out, "--engine", "nf") == (0, "EQUAL\n", "")
 
 
+def test_alternating_right_nested_chain_conjoined_with_an_atom_goes_through_nf_and_eq(capsys):
+    # (a0 || (a1 && (a2 || ...))) && b with 10,000 atoms
+    chain = "a9999"
+    for i in reversed(range(9_999)):
+        chain = f"a{i} {'||' if i % 2 == 0 else '&&'} ({chain})"
+    expr = f"({chain}) && b"
+    code, out, err = run(capsys, "nf", expr)
+    assert (code, err) == (0, "")
+    assert eval_tree(parse(out)) is eval_tree(parse(expr))
+    assert run(capsys, "eq", expr, out, "--engine", "nf") == (0, "EQUAL\n", "")
+    assert run(capsys, "eq", expr, f"({chain}) && c", "--engine", "nf") == (1, "INEQUAL\n", "")
+
+
 def test_negated_and_disjoined_long_chains_go_through_nf_and_eq(capsys):
     n = 10_000
     chain = " && ".join(f"a{i}" for i in range(n))

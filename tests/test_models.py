@@ -30,6 +30,7 @@ from sclkit import (
     Var,
     eval_in_model,
     eval_tree,
+    expand_full,
     format_tree,
     independence_rows,
     independence_suite,
@@ -320,6 +321,22 @@ def test_shaped_draws_match_their_trees_and_the_reference_stream():
     assert above_root >= 200  # a subterm's tree larger than the whole term's is common
 
 
+def test_shaped_draws_without_terms_take_the_same_stream():
+    """A draw that makes no term gives the shape and peak of the draw that
+    does, and leaves the generator in the same state."""
+    rng, ref = Random(13), Random(13)
+    for i in range(2_400):
+        depth, size = 1 + i % 8, (40, 5, 12, None)[i // 8 % 4]
+        term, shape, peak = generate._shaped_scl_term(rng, ("a", "b", "c"), depth, size, terms=False)
+        assert (shape, peak) == generate._shaped_scl_term(ref, ("a", "b", "c"), depth, size)[1:], i
+        assert term is None or type(term) is Const, i
+    for max_tree in (120, 9, None):
+        got = generate._shaped_substitution(rng, ["z", "x", "y"], max_tree=max_tree, terms=False)
+        want = generate._shaped_substitution(ref, ["z", "x", "y"], max_tree=max_tree)
+        assert [d[1:] for d in got.values()] == [d[1:] for d in want.values()]
+    assert rng.getstate() == ref.getstate()
+
+
 def test_random_substitution_matches_the_tree_built_reference():
     for seed in range(200):
         rng, ref = Random(seed), Random(seed)
@@ -403,6 +420,21 @@ def test_bindings_with_a_subterm_over_the_cap_are_walked_as_the_reference_walks_
     assert only_subterms >= 100
 
 
+# Open non-identities: criterion 5's four, with variables for atoms, and
+# others; the fresh-atom check refutes each, so they take the sampling path.
+_NON_IDENTITIES = [
+    Equation(parse(lhs, "open"), parse(rhs, "open"))
+    for lhs, rhs in [
+        ("$x && $x", "$x"),
+        ("$x && $y", "$y && $x"),
+        ("$x && ($x || $y)", "$x"),
+        ("($x && $y) || $z", "($x || $z) && ($y || $z)"),
+        ("$x && ($y && F)", "$y && ($x && F)"),
+        ("!$x && F", "$x && $y && F"),
+    ]
+]
+
+
 def test_free_model_samples_shape_no_binding_twice(monkeypatch):
     """The draw gives the check each binding's shape: a binding whose
     subterms all fit the cap is in the seeded memo, and ``_shape`` never
@@ -421,7 +453,10 @@ def test_free_model_samples_shape_no_binding_twice(monkeypatch):
         return True
 
     def checked(p, q, cap, subst, shapes=None):
-        memo = Recording(shapes or {})
+        if shapes is None:  # the fresh-atom check, once per equation: it refutes
+            assert _outcome(same_tree, p, q, cap, subst) is not True
+            return same_tree(p, q, cap, subst)
+        memo = Recording(shapes)
         bindings = [b for b in subst.values() if type(b) is not Const]  # _shape enters T and F
         for b in bindings:
             assert (b in memo) == passes(b, cap), (b, cap)
@@ -436,12 +471,164 @@ def test_free_model_samples_shape_no_binding_twice(monkeypatch):
 
     same_tree, visited, counts = models.same_tree, [], {"seeded": 0, "left out": 0}
     monkeypatch.setattr(models, "same_tree", checked)
-    laws = [_AX["F7"], _AX["F10"], *derived_laws()]
-    for seed in range(4):
+    laws = _NON_IDENTITIES + [dual_equation(e) for e in _NON_IDENTITIES]
+    for seed in range(40):
         for eq in laws:
             for cap in (None, 5, 30, 120):
                 _outcome(valid_in_free_model, eq, samples=20, seed=seed, cap=cap)
     assert counts["seeded"] >= 1_000 and counts["left out"] >= 20, counts
+
+
+def test_free_model_shortcut_shapes_and_builds_no_drawn_term(monkeypatch):
+    """An equation whose sides have one tree under fresh atoms is built
+    once, with those atoms: the draws make no term, and ``_shape`` and
+    ``_build`` see only the sides' subterms and the fresh atoms."""
+    shaped, built, draws = [], [], []
+
+    def shape(term, cap, shapes=None, subst=None):
+        shaped.append((term, subst))
+        return real_shape(term, cap, shapes, subst)
+
+    def build(term, kt, kf, leaf, done=None, subst=None):
+        built.append((term, subst))
+        return real_build(term, kt, kf, leaf, done, subst)
+
+    def draw(*args, **kwargs):
+        drawn = real_draw(*args, **kwargs)
+        draws.append(drawn)
+        return drawn
+
+    def forbidden(*args):
+        raise AssertionError("a tree node made on the shortcut")
+
+    real_shape, real_build, real_draw = trees._shape, trees._build, models._shaped_substitution
+    monkeypatch.setattr(trees, "_shape", shape)
+    monkeypatch.setattr(models, "_shape", shape)
+    monkeypatch.setattr(trees, "_build", build)
+    monkeypatch.setattr(models, "_shaped_substitution", draw)
+    monkeypatch.setattr(trees.Node, "__new__", forbidden)
+    base = eqfscl_axioms()
+    laws = base + [dual_equation(e) for e in base] + cp_axioms() + derived_laws()
+    for eq in laws:
+        for cap in (None, 30, DEFAULT_NODE_CAP):
+            shaped.clear(), built.clear(), draws.clear()
+            got = _outcome(valid_in_free_model, eq, samples=25, seed=7, cap=cap)
+            assert got == FreeModelCheck(True, None, 25) or got[0] is TreeTooLarge, (eq, cap)
+            sides = set(postorder(eq.lhs)) | set(postorder(eq.rhs))
+            fresh = {v: Atom(v) for v in eq.variables}  # no law has an atom
+            assert all(term in sides and subst in (None, fresh) for term, subst in shaped + built), (eq, cap)
+            assert len(built) == 2  # the two sides, once
+            assert draws and all(term is None or type(term) is Const for d in draws for term, _, _ in d.values())
+            if got == FreeModelCheck(True, None, 25):
+                assert len(draws) == 25 and len(shaped) == 2 + (0 if cap is None else 50)
+
+
+def test_free_model_shortcut_matches_the_reference(monkeypatch):
+    """Equations valid by construction take the fresh-atom shortcut, and
+    give what the reference gives, result or error, at every cap and
+    count of samples: ``l = l``, closed and open instances of the axioms,
+    their duals, the conditional axioms, the derived laws; templates with
+    full connectives or conditionals; and equations whose own atoms take
+    the names of the fresh atoms, one of which is valid only if its
+    variable's atom is kept off them."""
+
+    def counted(*args):
+        fresh = fresh_atoms(*args)
+        shortcuts[fresh is not None] += 1
+        return fresh
+
+    fresh_atoms, shortcuts = models._fresh_atoms, [0, 0]
+    monkeypatch.setattr(models, "_fresh_atoms", counted)
+    rng = Random(25)
+    x, y, x_ = Var("x"), Var("y"), Atom("x_")
+    base = eqfscl_axioms()
+    laws = base + [dual_equation(e) for e in base] + cp_axioms() + derived_laws()
+    opened = lambda: expand_full(random_term(rng, ("a", "x"), 2, "open", ("x", "y")))
+    closed = lambda: expand_full(random_term(rng, ("a", "b"), 2))
+    cases = list(laws)
+    for i in range(12):
+        t = random_term(rng, ("a", "x"), 3, rng.choice(("open", "enriched")), ("x", "y"))
+        t = t if i % 4 == 0 else expand_full(t)  # most without full connectives
+        cases.append(Equation(t, t))
+        for bind in (opened, closed):
+            eq = rng.choice(laws)
+            subst = {v: bind() for v in eq.variables}
+            cases.append(Equation(substitute(eq.lhs, subst), substitute(eq.rhs, subst)))
+    cases += [
+        Equation(Cond(x, FullAnd(x, y), y), Cond(x, FullAnd(x, y), y)),
+        Equation(And(Atom("x"), x), And(x, Atom("x"))),  # x && x_ differs from x_ && x
+        Equation(And(And(Atom("x"), x_), x), And(Atom("x"), And(x_, x))),
+        Equation(Or(And(x, x_), y), Or(And(x, x_), Not(Not(y)))),
+    ]
+    outcomes = set()
+    for eq in cases:
+        for cap in (None, 0, 1, 2, 5, 30, DEFAULT_NODE_CAP):
+            for samples in (0, 1, 25):
+                taken = shortcuts[True]
+                got = _outcome(valid_in_free_model, eq, samples=samples, seed=cap or 0, cap=cap)
+                assert got == _outcome(reference_valid_in_free_model, eq, samples, cap or 0, cap), (eq, cap, samples)
+                if shortcuts[True] > taken:
+                    outcomes.add(got[0] if isinstance(got, tuple) else got.samples)
+    assert shortcuts[True] >= 400 and shortcuts[False] >= 100, shortcuts
+    assert outcomes == {1, 25, TreeTooLarge}  # the shortcut returns, and raises the cap error
+    # an atom name the draw cannot make is refused where the draw meets it
+    assert valid_in_free_model(_AX["F7"], samples=25, atoms=("a",)).valid
+    with pytest.raises(ValueError, match="invalid atom name: 'T'"):
+        valid_in_free_model(_AX["F7"], samples=25, atoms=("a", "T"))
+
+
+def _mutated(t, rng, leaves):
+    """``t`` with one subterm, reached by a random path, replaced by a leaf."""
+    kids = terms.children(t)
+    if not kids or rng.random() < 0.3:
+        return rng.choice(leaves)
+    i = rng.randrange(len(kids))
+    return type(t)(*(_mutated(k, rng, leaves) if j == i else k for j, k in enumerate(kids)))
+
+
+def random_open_equations(rng, count):
+    """Seeded open equations over ``$x``, ``$y``, ``$z`` and the atoms
+    ``a`` and ``b``: a side against itself with one subterm replaced by a
+    leaf (so that most pairs differ a little), or against another side."""
+    leaves = [Var("x"), Var("y"), Var("z"), Atom("a"), Atom("b"), TRUE, FALSE]
+    side = lambda: expand_full(random_term(rng, ("a", "b"), rng.randint(1, 3), "enriched", ("x", "y", "z")))
+    out = []
+    while len(out) < count:
+        lhs = side()
+        rhs = _mutated(lhs, rng, leaves) if rng.random() < 0.8 else side()
+        if lhs.node_count + rhs.node_count > 2:  # some variable on a side
+            if "$" in str(lhs) + str(rhs):
+                out.append(Equation(lhs, rhs))
+    return out
+
+
+def test_the_sampler_refutes_only_what_the_fresh_atom_check_refutes(monkeypatch):
+    """Soundness of the shortcut, by the sampling path it replaces: every
+    equation the 200-sample sampler refutes, the fresh-atom check refutes
+    too.  The check holds all of criterion 2 and refutes criterion 5's
+    four closed non-identities; the 2,000 seeded open equations give it
+    both verdicts often.  ``missed`` counts the equations the check
+    refutes and the sampler does not."""
+    base = eqfscl_axioms()
+    laws = base + [dual_equation(e) for e in base] + cp_axioms() + derived_laws()
+    non_identities = [
+        Equation(parse(lhs), parse(rhs))
+        for lhs, rhs in [("a && a", "a"), ("a && b", "b && a"), ("a && (a || b)", "a"), ("(a && b) || c", "(a || c) && (b || c)")]
+    ]
+    equations = laws + non_identities + random_open_equations(Random(2025), 2_000)
+    exact = [models._fresh_atoms(eq, sorted(eq.variables), ("a", "b", "c"), None) is not None for eq in equations]
+    assert exact[: len(laws)] == [True] * len(laws) and exact[len(laws) : len(laws) + 4] == [False] * 4
+    monkeypatch.setattr(models, "_fresh_atoms", lambda *args: None)  # the sampling path
+    counts = {"valid": 0, "refuted": 0, "missed": 0, "too large": 0}
+    for seed, (eq, valid) in enumerate(zip(equations, exact)):
+        try:
+            sampled = valid_in_free_model(eq, samples=200, seed=seed).valid
+        except TreeTooLarge:
+            counts["too large"] += 1
+            continue
+        assert sampled or not valid, eq  # sound: a refutation is a real one
+        counts["valid" if valid else "refuted" if not sampled else "missed"] += 1
+    assert counts["valid"] >= 200 and counts["refuted"] >= 1_000, counts
 
 
 # ``eval_in_model`` and ``validates`` as they were, one recursive evaluation

@@ -659,6 +659,29 @@ def test_nf_takes_a_right_nested_chain_past_the_recursion_limit():
     assert normal is nf(reduce(And, atoms))
 
 
+def _alternating(n, last):
+    """a0 || (a1 && (a2 || ...(a(n-1) op last))), the connectives alternating."""
+    t = last
+    for i in reversed(range(n)):
+        t = (Or if i % 2 == 0 else And)(Atom(f"a{i}"), t)
+    return t
+
+
+def test_nf_takes_an_alternating_right_nested_chain_conjoined_with_an_atom():
+    # the chain's normal form is T && s for a *-term s whose c- and d-terms
+    # nest to the right; and_star_tterm conjoins the T-term of b into their
+    # right operands from a stack, not by recursion
+    for n in (1, 2, 3, 4, 7, 12):
+        for last in (parse("c"), TRUE, FALSE):
+            t = And(_alternating(n, last), parse("b"))
+            assert outcome(nf, t, None) == outcome(reference_nf, t, None), t
+    t = And(_alternating(9_999, parse("a9999")), parse("b"))
+    normal = nf(t)
+    assert classify(normal) is SnfClass.T_STAR_TERM
+    assert eval_tree(normal) is eval_tree(t)
+    assert decide_eq(t, normal, "nf")
+
+
 def test_nf_interns_only_its_normal_form(monkeypatch):
     # the clauses run on a node table made for the call; the terms entered
     # into the unique table are those of the result, each at most once, and

@@ -20,7 +20,6 @@ ALLOWED = {
     "normalize._Helpers.neg_nf",
     "normalize._Helpers.neg_star",
     "normalize._Helpers.and_nf",
-    "normalize._Helpers.and_star_tterm",
     "normalize._Helpers.and_star_fterm",
     # the JSON decoders: json.loads cannot nest deeper than they can
     "terms._from_json",
